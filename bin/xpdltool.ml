@@ -599,14 +599,12 @@ let query_cmd =
     in
     Arg.(required & pos 1 (some string) None & info [] ~docv:"QUERY" ~doc)
   in
-  let run file expr =
-    setup_logs ();
-    let q = Xpdl_query.Query.init file in
+  let answer q expr =
     let starts_with prefix s =
       String.length s > String.length prefix && String.sub s 0 (String.length prefix) = prefix
     in
     let after prefix s = String.sub s (String.length prefix) (String.length s - String.length prefix) in
-    (match expr with
+    match expr with
     | "cores" -> Fmt.pr "%d@." (Xpdl_query.Query.count_cores q)
     | "cuda-devices" -> Fmt.pr "%d@." (Xpdl_query.Query.count_cuda_devices q)
     | "static-power" -> Fmt.pr "%.2f W@." (Xpdl_query.Query.total_static_power q)
@@ -642,8 +640,21 @@ let query_cmd =
         match Xpdl_query.Query.link_bandwidth q (after "bw:" s) with
         | Some b -> Fmt.pr "%.2f GiB/s@." (b /. (1024. ** 3.))
         | None -> Fmt.pr "unknown link@.")
-    | other -> Fmt.epr "unknown query %S@." other);
-    0
+    | other -> Fmt.epr "unknown query %S@." other
+  in
+  (* a corrupt file is a coded diagnostic and exit 1: load failures
+     arrive as [Query_error] (code in the message), damage found by a
+     lazy column read as [Ir.Corrupt] *)
+  let run file expr =
+    setup_logs ();
+    match answer (Xpdl_query.Query.init file) expr with
+    | () -> 0
+    | exception Xpdl_query.Query.Query_error msg ->
+        Fmt.epr "%s@." msg;
+        1
+    | exception Xpdl_toolchain.Ir.Corrupt d ->
+        Fmt.epr "%s: [%s] %s@." file d.Diagnostic.code d.Diagnostic.message;
+        1
   in
   Cmd.v (Cmd.info "query" ~doc:"Query a runtime-model file") Term.(const run $ file $ expr)
 
@@ -973,8 +984,11 @@ let serve_cmd =
             | Unix.ADDR_UNIX path -> Fmt.pr "serving %s on unix socket %s@." system path
             | Unix.ADDR_INET (ip, port) ->
                 Fmt.pr "serving %s on %s:%d@." system (Unix.string_of_inet_addr ip) port);
-            Sys.catch_break true;
-            (try Xpdl_serve.Server.wait srv with Sys.Break -> ());
+            (* SIGINT/SIGTERM end the loop like the deadline does, so the
+               WAL is closed and the stats line printed *)
+            let on_signal = Sys.Signal_handle (fun _ -> Xpdl_serve.Server.request_stop srv) in
+            List.iter (fun s -> Sys.set_signal s on_signal) [ Sys.sigint; Sys.sigterm ];
+            Xpdl_serve.Server.wait srv;
             Xpdl_serve.Server.stop srv;
             Option.iter Xpdl_store.Store.close_wal st;
             Fmt.pr "%s@." (Xpdl_serve.Hub.stats_json hub);

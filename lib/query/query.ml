@@ -148,12 +148,12 @@ let ir_of_store ~drop store =
    edit runs are replayed as in-place patches (index paths recorded in
    the journal stay valid because the tree shape did not change); any
    structural edit, dangling path, or journal compaction falls back to a
-   full IR rebuild with a fresh derived memo. *)
-let sync t =
+   full IR rebuild with a fresh derived memo.  The caller holds
+   [t.lock]. *)
+let sync_locked t =
   match t.origin with
   | Fixed -> ()
   | Tracked tr ->
-      Mutex.protect t.lock @@ fun () ->
       let rev = Store.revision tr.store in
       if rev <> tr.synced_rev then begin
         let rebuild () =
@@ -182,6 +182,30 @@ let sync t =
         | None -> rebuild ());
         tr.synced_rev <- rev
       end
+
+let sync t =
+  match t.origin with Fixed -> () | Tracked _ -> Mutex.protect t.lock (fun () -> sync_locked t)
+
+let copy_memo (m : memo) =
+  {
+    mc_selectors = Hashtbl.copy m.mc_selectors;
+    mc_selects = Hashtbl.copy m.mc_selects;
+    mc_count_cores = Hashtbl.copy m.mc_count_cores;
+    mc_cuda_devices = Hashtbl.copy m.mc_cuda_devices;
+    mc_static_power = Hashtbl.copy m.mc_static_power;
+    mc_memory_bytes = Hashtbl.copy m.mc_memory_bytes;
+    mc_frequencies = Hashtbl.copy m.mc_frequencies;
+    mc_installed = m.mc_installed;
+  }
+
+(* Sync, freeze and copy under one lock acquisition, so the frozen IR
+   and the copied memo describe the same revision.  The memo entries
+   are valid for exactly that IR: sync has already evicted everything
+   an edit since the last access could change. *)
+let snapshot ?(source = "<snapshot>") t =
+  Mutex.protect t.lock @@ fun () ->
+  sync_locked t;
+  { ir = Ir.freeze t.ir; source; memo = copy_memo t.memo; origin = Fixed; lock = Mutex.create () }
 
 (* Hot attribute keys, interned once at startup. *)
 let k_static_power = Ir.intern "static_power"

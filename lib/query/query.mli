@@ -58,6 +58,15 @@ val of_model : ?source:string -> Model.element -> t
     are snapshots — re-fetch them after editing. *)
 val of_store : ?drop:string list -> ?source:string -> Xpdl_store.Store.t -> t
 
+(** A fixed handle frozen at the handle's current revision: a tracked
+    handle is synchronized first, then its IR is {!Ir.freeze}d and its
+    memo tables are copied — they are valid at exactly that revision, so
+    the snapshot's first derived query is usually a memo hit.  Later
+    edits to the store (or the tracked handle's in-place patches and
+    rebuilds) never reach the snapshot.  Costs O(patched nodes +
+    materialized views + memo entries); nothing is re-encoded. *)
+val snapshot : ?source:string -> t -> t
+
 (** The handle's current runtime IR (synchronized first). *)
 val runtime_ir : t -> Ir.t
 

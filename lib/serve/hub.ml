@@ -15,8 +15,11 @@ type session = {
 
 (* A snapshot handle shared by every pin of one revision; [refs] counts
    pins across sessions and the handle is reclaimed when it drops to 0
-   (the store-side retention floor is released pin by pin). *)
-type snap = { sq : Query.t; mutable refs : int }
+   (the store-side retention floor is released pin by pin).  [image] is
+   the [Fetch] answer: a frozen arena that carries an edit overlay
+   re-encodes on every [Ir.to_bytes], so the snapshot encodes once, on
+   its first [Fetch]. *)
+type snap = { sq : Query.t; image : string Lazy.t; mutable refs : int }
 
 type t = {
   st : Store.t;
@@ -95,15 +98,16 @@ let err_not_pinned rev = err "XPDL706" "revision %d is not a pinned snapshot of 
 
 let session_pin_count s rev = Option.value ~default:0 (Hashtbl.find_opt s.pins rev)
 
-(* The handle a [rev] field selects: the moving head for [-1], the
-   revision's shared snapshot handle when this session holds a pin. *)
+(* The revision's shared snapshot, when this session holds a pin on it. *)
+let resolve_snap t s rev =
+  match Hashtbl.find_opt t.snapshots rev with
+  | Some snap when session_pin_count s rev > 0 -> Result.Ok snap
+  | _ -> Error (err_not_pinned rev)
+
+(* The handle a [rev] field selects: the moving head for [-1], else the
+   pinned snapshot's. *)
 let resolve_handle t s rev =
-  if rev < 0 then Result.Ok t.head
-  else if session_pin_count s rev = 0 then Error (err_not_pinned rev)
-  else
-    match Hashtbl.find_opt t.snapshots rev with
-    | Some snap -> Result.Ok snap.sq
-    | None -> Error (err_not_pinned rev)
+  if rev < 0 then Result.Ok t.head else Result.map (fun snap -> snap.sq) (resolve_snap t s rev)
 
 (* The query mini-language: the [xpdltool query] expressions, answered
    as protocol values (floats travel bit-exactly). *)
@@ -196,10 +200,11 @@ let do_pin t s =
   (match Hashtbl.find_opt t.snapshots rev with
   | Some snap -> snap.refs <- snap.refs + 1
   | None ->
-      (* [Store.model] returns an immutable tree: this handle is the
-         frozen revision, never synchronized again *)
-      let sq = Query.of_model ~source:(Fmt.str "serve:pin@%d" rev) (Store.model t.st) in
-      Hashtbl.replace t.snapshots rev { sq; refs = 1 });
+      (* the head already holds this revision as an arena plus an edit
+         overlay: freeze it (and its memo) instead of rebuilding *)
+      let sq = Query.snapshot ~source:(Fmt.str "serve:pin@%d" rev) t.head in
+      let image = lazy (Ir.to_bytes (Query.runtime_ir sq)) in
+      Hashtbl.replace t.snapshots rev { sq; image; refs = 1 });
   Protocol.Ok (Int rev)
 
 let do_unpin t s rev =
@@ -280,9 +285,11 @@ let handle t s (req : Protocol.request) : Protocol.response =
         Queue.clear s.events;
         Ok Unit
     | Fetch rev -> (
-        match resolve_handle t s rev with
-        | Result.Ok h -> Ok (Blob (Ir.to_bytes (Query.runtime_ir h)))
-        | Error e -> e)
+        if rev < 0 then Ok (Blob (Ir.to_bytes (Query.runtime_ir t.head)))
+        else
+          match resolve_snap t s rev with
+          | Result.Ok snap -> Ok (Blob (Lazy.force snap.image))
+          | Error e -> e)
     | EditsSince rev -> (
         match Store.edits_since t.st rev with
         | Some edits -> Ok (Edits (List.map event_of_edit edits))

@@ -7,13 +7,19 @@
     head or a pinned snapshot, push edits, and subscribe to the edit
     stream.
 
-    MVCC semantics: {!Protocol.Pin} captures the store's current
-    immutable model tree as a dedicated snapshot handle and registers a
-    retention floor with the store ({!Xpdl_store.Store.pin}), so journal
-    compaction never reaches past the oldest pin and every pinned
-    [Query { rev; _ }] answers {e bit-identically} no matter how far the
-    writer has advanced.  Snapshot handles are shared across sessions
-    pinning the same revision and reclaimed when the last pin drops.
+    MVCC semantics: {!Protocol.Pin} freezes the head handle at the
+    store's current revision ({!Xpdl_query.Query.snapshot}: the head's
+    arena byte image and derived indexes are shared, its attribute-edit
+    overlay and memo tables are copied — no model is re-encoded) and
+    registers a retention floor with the store
+    ({!Xpdl_store.Store.pin}), so journal compaction never reaches past
+    the oldest pin and every pinned [Query { rev; _ }] answers
+    {e bit-identically} no matter how far the writer has advanced.
+    Snapshot handles are shared across sessions pinning the same
+    revision and reclaimed when the last pin drops.  A pinned [Fetch]
+    encodes the snapshot's image once and answers every later [Fetch]
+    of that revision from it; the bytes equal the head's [Fetch] bytes
+    at the same revision.
 
     The hub is deliberately transport-free — {!handle} maps requests to
     responses and {!handle_frame} does the same over encoded payloads —
@@ -61,6 +67,12 @@ val close_session : t -> session -> unit
     store errors come back as [Err] responses carrying [XPDL7xx] codes
     (see docs/SERVING.md for the per-op error table). *)
 val handle : t -> session -> Protocol.request -> Protocol.response
+
+(** Answer one query-language expression (the [q] of a [Query] request:
+    [cores], [static-power], [id:<ident>], [sel:<selector>], ...) on a
+    handle.  Raises {!Xpdl_query.Query.Query_error} where {!handle}
+    answers [XPDL704]. *)
+val eval_query : Xpdl_query.Query.t -> string -> Protocol.response
 
 (** [handle_frame t s payload] decodes, dispatches, and re-encodes; an
     undecodable payload becomes an encoded [Err] ([XPDL702]/[XPDL703]). *)

@@ -194,17 +194,24 @@ let start ?(max_clients = 64) ?deadline_s addr hub =
   t.domain <- Some (Domain.spawn (fun () -> loop t));
   t
 
+(* Cleared before joining: a join that raises (the loop died of an
+   exception) must not be repeated by a later [stop], which would
+   re-raise the same exception. *)
 let wait t =
   match t.domain with
   | Some d ->
-      Domain.join d;
-      t.domain <- None
+      t.domain <- None;
+      Domain.join d
   | None -> ()
+
+let request_stop t =
+  if not t.stopped then
+    try ignore (Unix.write_substring t.stop_w "x" 0 1) with Unix.Unix_error _ -> ()
 
 let stop t =
   if not t.stopped then begin
+    request_stop t;
     t.stopped <- true;
-    (try ignore (Unix.write_substring t.stop_w "x" 0 1) with Unix.Unix_error _ -> ());
     wait t;
     List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
       [ t.listen_fd; t.stop_r; t.stop_w ];

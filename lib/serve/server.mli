@@ -38,6 +38,12 @@ val running : t -> bool
 (** Block until the loop domain exits on its own. *)
 val wait : t -> unit
 
+(** Ask the loop to exit (one byte on its self-pipe) without waiting for
+    it.  Safe to call from a signal handler, which may run on any
+    domain, the loop's included — unlike [Sys.catch_break], whose
+    [Sys.Break] can escape the loop domain.  A no-op after {!stop}. *)
+val request_stop : t -> unit
+
 (** Ask the loop to exit (self-pipe), join it, close every connection,
     and release the socket.  Idempotent. *)
 val stop : t -> unit

@@ -747,6 +747,13 @@ let patch_attrs t i pairs =
     | Some v -> t.views.(i) <- Some { v with n_attrs = arr }
     | None -> ()
 
+(* Everything derived from [buf] alone (parents, paths, strings, the
+   ident/tag/path indexes) is shared: it never changes after it is
+   built, and a copy built later on either side agrees with it.  Only
+   the edit-visible state is copied — the overlay and the view array,
+   whose slots [patch_attrs] overwrites in place. *)
+let freeze t = { t with patched = Hashtbl.copy t.patched; views = Array.copy t.views }
+
 let root t = node t 0
 let parent t (n : node) = if n.n_parent < 0 then None else Some (node t n.n_parent)
 let children t (n : node) = Array.to_list (Array.map (node t) n.n_children)

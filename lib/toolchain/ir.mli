@@ -126,6 +126,15 @@ val attr_at : t -> int -> string -> value option
     Raises [Invalid_argument] on a bad index. *)
 val patch_attrs : t -> int -> (string * Model.attr_value) list -> unit
 
+(** An isolated copy of the arena at its current state: later
+    {!patch_attrs} calls on either side are invisible to the other.
+    The byte image and every lazy structure derived from it alone
+    (parents, scope paths, decoded strings, the ident/kind/path indexes)
+    are shared; the attribute overlay and the node-view array are
+    copied.  O(patched nodes + materialized view slots) — nothing is
+    re-encoded or re-validated. *)
+val freeze : t -> t
+
 val root : t -> node
 val parent : t -> node -> node option
 val children : t -> node -> node list

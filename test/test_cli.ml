@@ -3,13 +3,15 @@
 
 let tool = "../bin/xpdltool.exe"
 
-(* Run the tool, capture stdout, return (exit_code, output). *)
-let run_tool args =
+(* Run the tool, capture stdout (and stderr with [~stderr:true]),
+   return (exit_code, output). *)
+let run_tool ?(stderr = false) args =
   let out_file = Filename.temp_file "xpdltool" ".out" in
   let cmd =
-    Fmt.str "%s %s > %s 2>/dev/null" (Filename.quote tool)
+    Fmt.str "%s %s > %s %s" (Filename.quote tool)
       (String.concat " " (List.map Filename.quote args))
       (Filename.quote out_file)
+      (if stderr then "2>&1" else "2>/dev/null")
   in
   let code = Sys.command cmd in
   let ic = open_in_bin out_file in
@@ -74,6 +76,16 @@ let test_process_and_query () =
   let host = check_ok "query id" (run_tool [ "query"; rt; "id:myriad_host" ]) in
   Alcotest.(check bool) "path shown" true (contains ~affix:"myriad_server/myriad_host" host);
   Sys.remove rt
+
+(* A damaged runtime-model file is a coded diagnostic and exit 1, not an
+   uncaught exception (exit 125). *)
+let test_query_corrupt fixture code () =
+  let exit_code, out =
+    run_tool ~stderr:true [ "query"; Filename.concat "fixtures/errors" fixture; "cores" ]
+  in
+  Alcotest.(check int) (fixture ^ " exit code") 1 exit_code;
+  Alcotest.(check bool) (fixture ^ " names " ^ code) true (contains ~affix:("[" ^ code ^ "]") out);
+  Alcotest.(check bool) "no uncaught exception" false (contains ~affix:"uncaught" out)
 
 let test_analyze () =
   let out = check_ok "analyze" (run_tool [ "analyze"; "XScluster" ]) in
@@ -158,6 +170,8 @@ let () =
             case "compose --set" test_compose_with_config;
             case "compose bad config" test_compose_bad_config_rejected;
             case "process + query" test_process_and_query;
+            case "query bad magic" (test_query_corrupt "bad_magic.xrt" "XPDL601");
+            case "query truncated" (test_query_corrupt "truncated.xrt" "XPDL603");
             case "analyze" test_analyze;
             case "control" test_control;
             case "emit-xsd" test_emit_xsd;

@@ -393,6 +393,69 @@ let test_hub_mvcc_and_events () =
   Alcotest.(check int) "snapshot reclaimed on close" 0 (Hub.snapshot_count h);
   Alcotest.(check (list int)) "no pins left" [] (Store.pinned_revisions (Hub.store h))
 
+(* A pin freezes the head's arena and memo.  While a writer first
+   patches the head in place (50 attribute edits) and then forces a
+   rebuild (one structural edit), every query expression at the pinned
+   revision must answer exactly what a handle built from scratch on the
+   pin-time model answers, and a pinned Fetch must decode, node by node,
+   to that model's arena.  Run once with a warm head (memo entries and
+   node views built before the pin) and once cold (nothing built). *)
+let test_pin_freezes_head warm () =
+  let h = Hub.create (model "liu_gpu_server") in
+  let st = Hub.store h and s = Hub.session h in
+  let path_of ident =
+    match Store.find_paths st (fun e -> Model.identifier e = Some ident) with
+    | p :: _ -> p
+    | [] -> Alcotest.failf "no element %s" ident
+  in
+  let exprs =
+    [ "cores"; "cuda-devices"; "static-power"; "memory"; "min-freq"; "max-freq"; "size";
+      "multi-node"; "software"; "degraded"; "id:SM12"; "id:no_such"; "ipath:SM12";
+      "path:liu_gpu_server/gpu1"; "prop:ExternalPowerMeter"; "bw:connection1"; "sel://core";
+      "sel://cache[@level=2]"; "frobnicate" ]
+  in
+  let ask rev = List.map (fun q -> Hub.handle h s (Protocol.Query { rev; q })) exprs in
+  let fetch rev =
+    match Hub.handle h s (Protocol.Fetch rev) with
+    | Protocol.Ok (Protocol.Blob b) -> b
+    | r -> Alcotest.failf "fetch %d: %a" rev Protocol.pp_response r
+  in
+  (* the pin copies an overlay of earlier edits *)
+  Store.set_attr st (path_of "SM12") "static_power" (watts 3.);
+  if warm then ignore (ask (-1));
+  let pinned_model = Store.model st in
+  let rev = ok_int (Hub.handle h s Protocol.Pin) in
+  let head_image = fetch (-1) in
+  let sms = Array.init 5 (fun i -> path_of (Fmt.str "SM%d" i)) in
+  for i = 1 to 47 do
+    Store.set_attr st sms.(i mod 5) "static_power" (watts (float_of_int i))
+  done;
+  Store.set_attr st (path_of "core0") "frequency" (hertz 9e9);
+  Store.set_attr st (path_of "gpu1") "quality" (Model.Str "interpolated");
+  Store.set_attr st (path_of "ExternalPowerMeter") "value" (Model.Str "edited");
+  let patched = ask (-1) in
+  Store.insert_child st [] (Model.make Schema.Core ~id:"extra" ~attrs:[ ("frequency", hertz 1e3) ]);
+  let rebuilt = ask (-1) in
+  Alcotest.(check bool) "the head moved" true (patched <> rebuilt);
+  let oracle = Query.of_model pinned_model in
+  List.iter2
+    (fun q got ->
+      let want = Hub.eval_query oracle q in
+      if Protocol.encode_response want <> Protocol.encode_response got then
+        Alcotest.failf "%s at pinned rev %d: %a, from scratch %a" q rev Protocol.pp_response got
+          Protocol.pp_response want)
+    exprs (ask rev);
+  let image = fetch rev in
+  Alcotest.(check bool) "pinned Fetch = head Fetch at the pin" true (String.equal head_image image);
+  Alcotest.(check bool) "pinned image encoded once" true (image == fetch rev);
+  let got = Ir.of_bytes image and want = Ir.of_model pinned_model in
+  Alcotest.(check int) "fetched size" (Ir.size want) (Ir.size got);
+  for i = 0 to Ir.size want - 1 do
+    if compare (Ir.node got i) (Ir.node want i) <> 0 then
+      Alcotest.failf "fetched node %d differs from the pin-time model" i
+  done;
+  Alcotest.(check bool) "fetched image verifies" true (Ir.verify got = Ok ())
+
 let test_hub_handle_frame () =
   let h = hub_small () in
   let s = Hub.session h in
@@ -655,6 +718,8 @@ let () =
         [
           case "basics and errors" test_hub_basics;
           case "mvcc, events, reclamation" test_hub_mvcc_and_events;
+          case "pin freezes a warm head" (test_pin_freezes_head true);
+          case "pin freezes a cold head" (test_pin_freezes_head false);
           case "frame-level dispatch" test_hub_handle_frame;
         ] );
       ( "server",

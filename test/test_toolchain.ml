@@ -158,6 +158,48 @@ let test_double_save_identity () =
   | _ -> Alcotest.fail "patched attribute must survive the re-encode");
   Alcotest.(check bool) "re-encode is stable" true (String.equal b3 (Ir.to_bytes ir4))
 
+(* A frozen copy keeps the arena as it was at the freeze: patches to the
+   original afterwards — to a node already in the overlay and to a fresh
+   one — must not show through, whether the original's node views were
+   materialized before the freeze or not.  The reference is a second,
+   independently patched arena in the same state. *)
+let test_freeze_isolation () =
+  let bytes = Ir.to_bytes (Lazy.force liu_ir) in
+  let gpu = (Option.get (Ir.find_by_ident (Lazy.force liu_ir) "gpu1")).Ir.n_index in
+  let vendor ir i =
+    match Ir.attr_at ir i "vendor" with Some (Ir.VStr s) -> s | _ -> "<unset>"
+  in
+  let at_freeze () =
+    let ir = Ir.of_bytes bytes in
+    Ir.patch_attrs ir gpu [ ("vendor", Xpdl_core.Model.Str "before") ];
+    ir
+  in
+  let reference = at_freeze () in
+  let ref_bytes = Ir.to_bytes reference in
+  List.iter
+    (fun with_views ->
+      let what s = Fmt.str "%s (views %s)" s (if with_views then "built" else "lazy") in
+      let ir = at_freeze () in
+      if with_views then for i = 0 to Ir.size ir - 1 do ignore (Ir.node ir i) done;
+      let frozen = Ir.freeze ir in
+      Ir.patch_attrs ir gpu [ ("vendor", Xpdl_core.Model.Str "after") ];
+      Ir.patch_attrs ir 0 [ ("vendor", Xpdl_core.Model.Str "root-after") ];
+      Alcotest.(check string) (what "origin patched") "after" (vendor ir gpu);
+      (* column reads first, so the lazy case checks the overlay before
+         any frozen view exists *)
+      Alcotest.(check string) (what "frozen overlay") "before" (vendor frozen gpu);
+      Alcotest.(check string) (what "frozen fresh node") (vendor reference 0) (vendor frozen 0);
+      for i = 0 to Ir.size frozen - 1 do
+        if (Ir.node frozen i).Ir.n_attrs <> (Ir.node reference i).Ir.n_attrs then
+          Alcotest.failf "%s: node %d attrs changed under the freeze" (what "freeze") i
+      done;
+      Alcotest.(check bool) (what "frozen bytes") true (String.equal ref_bytes (Ir.to_bytes frozen));
+      Alcotest.(check bool) (what "frozen verifies") true (Ir.verify frozen = Ok ());
+      (* and the other way round: the frozen copy's patches stay its own *)
+      Ir.patch_attrs frozen gpu [ ("vendor", Xpdl_core.Model.Str "frozen-side") ];
+      Alcotest.(check string) (what "origin unaffected") "after" (vendor ir gpu))
+    [ false; true ]
+
 (* v1 → v2 migration: the legacy writer's output must load into an arena
    semantically identical to the original *)
 let test_v1_migration_roundtrip () =
@@ -613,6 +655,7 @@ let () =
           case "corrupt fixture files" test_error_fixtures;
           case "checksum verify" test_verify_clean;
           case "double-save byte identity" test_double_save_identity;
+          case "freeze isolation" test_freeze_isolation;
           case "v1 migration round-trip" test_v1_migration_roundtrip;
           QCheck_alcotest.to_alcotest prop_codec_roundtrip;
         ] );
