@@ -30,19 +30,6 @@ let record ?experiment ~metric ~value ~unit_ () =
   let experiment = match experiment with Some e -> e | None -> !current_exp in
   bench_rows := (experiment, metric, value, unit_) :: !bench_rows
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let write_json path =
   let oc = open_out path in
   Fun.protect
@@ -53,8 +40,9 @@ let write_json path =
       List.iteri
         (fun i (experiment, metric, value, unit_) ->
           Printf.fprintf oc
-            "  {\"experiment\": \"%s\", \"metric\": \"%s\", \"value\": %.6g, \"unit\": \"%s\"}%s\n"
-            (json_escape experiment) (json_escape metric) value (json_escape unit_)
+            "  {\"experiment\": %s, \"metric\": %s, \"value\": %.6g, \"unit\": %s}%s\n"
+            (Xpdl_kernel.json_string experiment) (Xpdl_kernel.json_string metric) value
+            (Xpdl_kernel.json_string unit_)
             (if i = List.length rows - 1 then "" else ","))
         rows;
       output_string oc "]\n");
@@ -843,40 +831,24 @@ let e14 () =
 (* E15: flat arena wire format — zero-copy model init *)
 
 (* The v2 wire format *is* the in-memory arena: loading = header parse +
-   one O(n) structural validation pass, no tree rebuild.  The "before"
-   arm is the same model in the v1 node-records format, whose load path
-   (kept as the migration reader) re-encodes into the arena — an honest
-   stand-in for the seed decoder, which rebuilt the full pointer tree. *)
+   one O(n) structural validation pass, no tree rebuild.  (The v1
+   node-records arm was removed with the v1 reader; its last numbers
+   are in EXPERIMENTS.md.) *)
 let e15 () =
-  header "E15: zero-copy arena init (v2) vs node-records decode (v1)";
-  let write_file path bytes =
-    let oc = open_out_bin path in
-    output_string oc bytes;
-    close_out oc
-  in
+  header "E15: zero-copy arena init (v2)";
   let bench_model name ir =
     let v2 = Ir.to_bytes ir in
-    let v1 = Ir.to_bytes_v1 ir in
     let v2_file = Filename.temp_file "bench_v2" ".xrt" in
-    let v1_file = Filename.temp_file "bench_v1" ".xrt" in
-    write_file v2_file v2;
-    write_file v1_file v1;
-    let t_v1 = time_ns_trimmed (fun () -> Q.init v1_file) in
+    Ir.to_file v2_file ir;
     let t_v2 = time_ns_trimmed (fun () -> Q.init v2_file) in
     let t_decode = time_ns_trimmed (fun () -> Ir.of_bytes v2) in
     let t_verify = time_ns_trimmed (fun () -> Ir.verify (Ir.of_bytes v2)) in
     Sys.remove v2_file;
-    Sys.remove v1_file;
-    let speedup = t_v1 /. t_v2 in
-    record ~metric:(name ^ "/init/v1_migrate") ~value:t_v1 ~unit_:"ns/run" ();
     record ~metric:(name ^ "/init/v2") ~value:t_v2 ~unit_:"ns/run" ();
-    record ~metric:(name ^ "/init/speedup") ~value:speedup ~unit_:"x" ();
     record ~metric:(name ^ "/init/of_bytes_v2") ~value:t_decode ~unit_:"ns/run" ();
     record ~metric:(name ^ "/init/verify") ~value:t_verify ~unit_:"ns/run" ();
-    Fmt.pr "  -- %s: %d nodes, %d bytes (v1: %d bytes) --@." name (Ir.size ir)
-      (String.length v2) (String.length v1);
-    Fmt.pr "  %-30s %10.1f us@." "init from v1 (migrate)" (t_v1 /. 1e3);
-    Fmt.pr "  %-30s %10.1f us  (%.1fx)@." "init from v2 (zero-copy)" (t_v2 /. 1e3) speedup;
+    Fmt.pr "  -- %s: %d nodes, %d bytes --@." name (Ir.size ir) (String.length v2);
+    Fmt.pr "  %-30s %10.1f us@." "init from v2 (zero-copy)" (t_v2 /. 1e3);
     Fmt.pr "  %-30s %10.1f us@." "of_bytes alone" (t_decode /. 1e3);
     Fmt.pr "  %-30s %10.1f us@." "full checksum (verify)" (t_verify /. 1e3);
     t_v2

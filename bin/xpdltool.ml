@@ -26,17 +26,12 @@ let setup_logs () =
   Fmt_tty.setup_std_outputs ();
   Logs.set_reporter (Logs_fmt.reporter ())
 
+(* The --models roots, or the bundled models/ directory when none is given. *)
+let roots = function [] -> Option.to_list (Xpdl_repo.Repo.locate_models ()) | ps -> ps
+
 let repo_of_paths paths =
   let repo = Xpdl_repo.Repo.create () in
-  let paths =
-    match paths with
-    | [] -> (
-        match Xpdl_repo.Repo.locate_models () with
-        | Some d -> [ d ]
-        | None -> [])
-    | ps -> ps
-  in
-  List.iter (Xpdl_repo.Repo.add_root repo) paths;
+  List.iter (Xpdl_repo.Repo.add_root repo) (roots paths);
   repo
 
 let models_arg =
@@ -73,6 +68,14 @@ let emit_diags ?(format = Text) ?max_errors diags =
   if Diagnostic.all_ok diags then 0 else 1
 
 let report_diags diags = emit_diags diags
+
+(* Continue with the value, or print the error on stderr and exit 1. *)
+let ( let* ) r k =
+  match r with
+  | Ok v -> k v
+  | Error msg ->
+      Fmt.epr "%s@." msg;
+      1
 
 (* Parse --set key=value deployment overrides; numeric values may carry
    a unit suffix separated by a colon (L1size=32:KB). *)
@@ -185,70 +188,13 @@ let validate_cmd =
   Cmd.v (Cmd.info "validate" ~doc:"Validate a descriptor (by name or file) against the schema")
     Term.(const run $ models_arg $ format_arg $ max_errors_arg $ target_arg)
 
-(* --- validate-all --- *)
-
-let validate_all_cmd =
-  let run paths format max_errors =
-    setup_logs ();
-    let repo = repo_of_paths paths in
-    let failures = ref 0 in
-    let collected = ref [] in
-    List.iter
-      (fun ident ->
-        match Xpdl_repo.Repo.find repo ident with
-        | None -> ()
-        | Some e ->
-            (* concrete systems are validated on their composed form
-               (endpoints like "n1" only exist after group expansion);
-               component descriptors are validated as written *)
-            let diags =
-              if Schema.equal_kind e.Model.kind Schema.System then
-                match Xpdl_repo.Repo.compose_by_name repo ident with
-                | Ok c -> Diagnostic.errors c.Xpdl_repo.Repo.comp_diags
-                | Error msg -> [ Diagnostic.error "%s" msg ]
-              else
-                List.filter Diagnostic.is_error
-                  (Validate.run ~lookup:(Xpdl_repo.Repo.lookup repo) e)
-            in
-            if diags <> [] then begin
-              incr failures;
-              collected := !collected @ diags;
-              if format = Text then begin
-                Fmt.pr "%-28s FAIL@." ident;
-                List.iter (fun d -> Fmt.epr "  %a@." Diagnostic.pp d) diags
-              end
-            end)
-      (Xpdl_repo.Repo.identifiers repo);
-    let repo_diags = Xpdl_repo.Repo.diagnostics repo in
-    let quarantined = Xpdl_repo.Repo.quarantined_files repo in
-    match format with
-    | Text ->
-        Fmt.pr "%d descriptors checked, %d with errors, %d file%s quarantined at load@."
-          (Xpdl_repo.Repo.size repo) !failures (List.length quarantined)
-          (if List.length quarantined = 1 then "" else "s");
-        List.iter (fun f -> Fmt.pr "  quarantined: %s@." f) quarantined;
-        if !failures = 0 && Diagnostic.all_ok repo_diags then 0 else 1
-    | Json -> emit_diags ~format:Json ?max_errors (repo_diags @ !collected)
-  in
-  Cmd.v
-    (Cmd.info "validate-all" ~doc:"Validate every descriptor in the repository")
-    Term.(const run $ models_arg $ format_arg $ max_errors_arg)
-
 (* --- repo: persistent-index repository operations --- *)
 
 (* Like repo_of_paths but through the .xpdlidx sidecars: names and
    diagnostics come from the index, descriptors materialize on demand. *)
 let repo_open_paths paths =
   let repo = Xpdl_repo.Repo.create () in
-  let paths =
-    match paths with
-    | [] -> (
-        match Xpdl_repo.Repo.locate_models () with
-        | Some d -> [ d ]
-        | None -> [])
-    | ps -> ps
-  in
-  List.iter (Xpdl_repo.Repo.open_root repo) paths;
+  List.iter (Xpdl_repo.Repo.open_root repo) (roots paths);
   repo
 
 let jobs_arg =
@@ -258,12 +204,6 @@ let jobs_arg =
 let repo_index_cmd =
   let run paths =
     setup_logs ();
-    let paths =
-      match paths with
-      | [] -> (
-          match Xpdl_repo.Repo.locate_models () with Some d -> [ d ] | None -> [])
-      | ps -> ps
-    in
     let code = ref 0 in
     List.iter
       (fun dir ->
@@ -278,7 +218,7 @@ let repo_index_cmd =
         (* print the full stream (XPDL311 rebuild notices are warnings);
            the exit code still reflects errors only *)
         if emit_diags (Xpdl_repo.Repo.diagnostics repo) <> 0 then code := 1)
-      paths;
+      (roots paths);
     !code
   in
   Cmd.v
@@ -314,32 +254,48 @@ let repo_stats_cmd =
        ~doc:"Open roots through their indexes and report lazy-loading counters")
     Term.(const run $ models_arg $ format_arg)
 
+(* --- validate-all (top level and under repo) --- *)
+
+(* One renderer for both validate-all commands.  [load_diags] is the
+   repository's stream captured before validation: materialization order
+   under N domains may interleave later additions differently, and the
+   output must be byte-identical for any --jobs. *)
+let emit_validation ~format ?max_errors repo load_diags results =
+  let failures = List.filter (fun r -> r.Xpdl_repo.Repo.va_errors <> []) results in
+  let quarantined = Xpdl_repo.Repo.quarantined_files repo in
+  match format with
+  | Text ->
+      List.iter
+        (fun (r : Xpdl_repo.Repo.validation) ->
+          Fmt.pr "%-28s %-14s FAIL@." r.va_ident r.va_kind;
+          List.iter (fun d -> Fmt.pr "  %a@." Diagnostic.pp d) r.va_errors)
+        failures;
+      Fmt.pr "%d descriptors checked, %d with errors, %d file%s quarantined at load@."
+        (List.length results) (List.length failures) (List.length quarantined)
+        (if List.length quarantined = 1 then "" else "s");
+      List.iter (fun f -> Fmt.pr "  quarantined: %s@." f) quarantined;
+      if failures = [] && Diagnostic.all_ok load_diags then 0 else 1
+  | Json ->
+      emit_diags ~format:Json ?max_errors
+        (load_diags @ List.concat_map (fun r -> r.Xpdl_repo.Repo.va_errors) failures)
+
+let validate_all_cmd =
+  let run paths format max_errors =
+    setup_logs ();
+    let repo = repo_of_paths paths in
+    let load_diags = Xpdl_repo.Repo.diagnostics repo in
+    emit_validation ~format ?max_errors repo load_diags (Xpdl_repo.Repo.validate_all ~jobs:1 repo)
+  in
+  Cmd.v
+    (Cmd.info "validate-all" ~doc:"Validate every descriptor in the repository")
+    Term.(const run $ models_arg $ format_arg $ max_errors_arg)
+
 let repo_validate_all_cmd =
   let run paths format max_errors jobs =
     setup_logs ();
     let repo = repo_open_paths paths in
-    (* capture the load-time stream before validation: materialization
-       order under N domains may interleave later additions differently,
-       and this command's output must be byte-identical for any --jobs *)
     let load_diags = Xpdl_repo.Repo.diagnostics repo in
-    let results = Xpdl_repo.Repo.validate_all ~jobs repo in
-    let failures = List.filter (fun r -> r.Xpdl_repo.Repo.va_errors <> []) results in
-    let quarantined = Xpdl_repo.Repo.quarantined_files repo in
-    match format with
-    | Text ->
-        List.iter
-          (fun (r : Xpdl_repo.Repo.validation) ->
-            Fmt.pr "%-28s %-14s FAIL@." r.va_ident r.va_kind;
-            List.iter (fun d -> Fmt.pr "  %a@." Diagnostic.pp d) r.va_errors)
-          failures;
-        Fmt.pr "%d descriptors checked, %d with errors, %d file%s quarantined at load@."
-          (List.length results) (List.length failures) (List.length quarantined)
-          (if List.length quarantined = 1 then "" else "s");
-        List.iter (fun f -> Fmt.pr "  quarantined: %s@." f) quarantined;
-        if failures = [] && Diagnostic.all_ok load_diags then 0 else 1
-    | Json ->
-        emit_diags ~format:Json ?max_errors
-          (load_diags @ List.concat_map (fun r -> r.Xpdl_repo.Repo.va_errors) failures)
+    emit_validation ~format ?max_errors repo load_diags (Xpdl_repo.Repo.validate_all ~jobs repo)
   in
   Cmd.v
     (Cmd.info "validate-all"
@@ -367,30 +323,22 @@ let compose_cmd =
   let run paths format max_errors name summary_only sets =
     setup_logs ();
     let repo = repo_of_paths paths in
-    match parse_config sets with
-    | Error msg ->
-        Fmt.epr "%s@." msg;
-        1
-    | Ok config -> (
-    match Xpdl_repo.Repo.compose_by_name ~config repo name with
-    | Error msg ->
-        Fmt.epr "%s@." msg;
-        1
-    | Ok c ->
-        (* in JSON mode stdout carries only the diagnostics report, so it
-           stays machine-parseable; the instance tree is not printed *)
-        if format = Text then begin
-          if summary_only then
-            Fmt.pr "%s: %d elements, %d cores, %.1f W static, %d descriptors used@." name
-              (Model.size c.Xpdl_repo.Repo.model)
-              (List.length (Model.hardware_elements_of_kind Schema.Core c.Xpdl_repo.Repo.model))
-              (Xpdl_simhw.Machine.total_static_power c.Xpdl_repo.Repo.model)
-              (List.length c.Xpdl_repo.Repo.descriptors_used)
-          else
-            Fmt.pr "%s@."
-              (Xpdl_xml.Print.to_string (Model.to_xml c.Xpdl_repo.Repo.model))
-        end;
-        emit_diags ~format ?max_errors c.Xpdl_repo.Repo.comp_diags)
+    let* config = parse_config sets in
+    let* c = Xpdl_repo.Repo.compose_by_name ~config repo name in
+    (* in JSON mode stdout carries only the diagnostics report, so it
+       stays machine-parseable; the instance tree is not printed *)
+    if format = Text then begin
+      if summary_only then
+        Fmt.pr "%s: %d elements, %d cores, %.1f W static, %d descriptors used@." name
+          (Model.size c.Xpdl_repo.Repo.model)
+          (List.length (Model.hardware_elements_of_kind Schema.Core c.Xpdl_repo.Repo.model))
+          (Xpdl_simhw.Machine.total_static_power c.Xpdl_repo.Repo.model)
+          (List.length c.Xpdl_repo.Repo.descriptors_used)
+      else
+        Fmt.pr "%s@."
+          (Xpdl_xml.Print.to_string (Model.to_xml c.Xpdl_repo.Repo.model))
+    end;
+    emit_diags ~format ?max_errors c.Xpdl_repo.Repo.comp_diags
   in
   Cmd.v (Cmd.info "compose" ~doc:"Compose a concrete system from the repository")
     Term.(const run $ models_arg $ format_arg $ max_errors_arg $ system_arg $ summary $ set_arg)
@@ -401,32 +349,28 @@ let analyze_cmd =
   let run paths name =
     setup_logs ();
     let repo = repo_of_paths paths in
-    match Xpdl_repo.Repo.compose_by_name repo name with
-    | Error msg ->
-        Fmt.epr "%s@." msg;
-        1
-    | Ok c ->
-        let _, reports = Xpdl_toolchain.Analysis.effective_bandwidths c.Xpdl_repo.Repo.model in
-        Fmt.pr "interconnect analysis for %s:@." name;
-        List.iter
-          (fun (r : Xpdl_toolchain.Analysis.link_report) ->
-            Fmt.pr "  %-14s %-10s -> %-10s declared %s effective %s%s@."
-              r.lr_ident
-              (Option.value ~default:"?" r.lr_head)
-              (Option.value ~default:"?" r.lr_tail)
-              (match r.lr_declared with
-              | Some b -> Fmt.str "%.2f GiB/s" (b /. (1024. ** 3.))
-              | None -> "-")
-              (match r.lr_effective with
-              | Some b -> Fmt.str "%.2f GiB/s" (b /. (1024. ** 3.))
-              | None -> "-")
-              (if r.lr_downgraded then "  [DOWNGRADED]" else ""))
-          reports;
-        let g = Xpdl_toolchain.Analysis.build_graph c.Xpdl_repo.Repo.model in
-        let comps = Xpdl_toolchain.Analysis.connected_components g in
-        Fmt.pr "communication graph: %d nodes, %d components@." (List.length g.g_nodes)
-          (List.length comps);
-        0
+    let* c = Xpdl_repo.Repo.compose_by_name repo name in
+    let _, reports = Xpdl_toolchain.Analysis.effective_bandwidths c.Xpdl_repo.Repo.model in
+    Fmt.pr "interconnect analysis for %s:@." name;
+    List.iter
+      (fun (r : Xpdl_toolchain.Analysis.link_report) ->
+        Fmt.pr "  %-14s %-10s -> %-10s declared %s effective %s%s@."
+          r.lr_ident
+          (Option.value ~default:"?" r.lr_head)
+          (Option.value ~default:"?" r.lr_tail)
+          (match r.lr_declared with
+          | Some b -> Fmt.str "%.2f GiB/s" (b /. (1024. ** 3.))
+          | None -> "-")
+          (match r.lr_effective with
+          | Some b -> Fmt.str "%.2f GiB/s" (b /. (1024. ** 3.))
+          | None -> "-")
+          (if r.lr_downgraded then "  [DOWNGRADED]" else ""))
+      reports;
+    let g = Xpdl_toolchain.Analysis.build_graph c.Xpdl_repo.Repo.model in
+    let comps = Xpdl_toolchain.Analysis.connected_components g in
+    Fmt.pr "communication graph: %d nodes, %d components@." (List.length g.g_nodes)
+      (List.length comps);
+    0
   in
   Cmd.v (Cmd.info "analyze" ~doc:"Static analysis of a composed system")
     Term.(const run $ models_arg $ system_arg)
@@ -449,11 +393,7 @@ let process_cmd =
   let run paths name output no_bootstrap drivers sets =
     setup_logs ();
     let repo = repo_of_paths paths in
-    match parse_config sets with
-    | Error msg ->
-        Fmt.epr "%s@." msg;
-        1
-    | Ok parameter_config -> (
+    let* parameter_config = parse_config sets in
     let config =
       {
         Xpdl_toolchain.Pipeline.default_config with
@@ -462,21 +402,17 @@ let process_cmd =
         parameter_config;
       }
     in
-    match Xpdl_toolchain.Pipeline.run_to_file ~config ~repo ~system:name ~output () with
-    | Error msg ->
-        Fmt.epr "%s@." msg;
-        1
-    | Ok report ->
-        Fmt.pr "%s -> %s (%d nodes, %d bytes)@." name output
-          (Xpdl_toolchain.Ir.size report.Xpdl_toolchain.Pipeline.runtime_model)
-          report.Xpdl_toolchain.Pipeline.runtime_model_bytes;
-        Fmt.pr "%a" Xpdl_toolchain.Pipeline.pp_timings report.Xpdl_toolchain.Pipeline.timings;
-        List.iter
-          (fun (r : Xpdl_microbench.Bootstrap.result) ->
-            Fmt.pr "  derived %-10s = %a@." r.instruction Xpdl_microbench.Stats.pp_summary
-              r.energy)
-          report.Xpdl_toolchain.Pipeline.bootstrap_results;
-        report_diags report.Xpdl_toolchain.Pipeline.diagnostics)
+    let* report = Xpdl_toolchain.Pipeline.run_to_file ~config ~repo ~system:name ~output () in
+    Fmt.pr "%s -> %s (%d nodes, %d bytes)@." name output
+      (Xpdl_toolchain.Ir.size report.Xpdl_toolchain.Pipeline.runtime_model)
+      report.Xpdl_toolchain.Pipeline.runtime_model_bytes;
+    Fmt.pr "%a" Xpdl_toolchain.Pipeline.pp_timings report.Xpdl_toolchain.Pipeline.timings;
+    List.iter
+      (fun (r : Xpdl_microbench.Bootstrap.result) ->
+        Fmt.pr "  derived %-10s = %a@." r.instruction Xpdl_microbench.Stats.pp_summary
+          r.energy)
+      report.Xpdl_toolchain.Pipeline.bootstrap_results;
+    report_diags report.Xpdl_toolchain.Pipeline.diagnostics
   in
   Cmd.v
     (Cmd.info "process" ~doc:"Run the full pipeline and write the runtime model")
@@ -530,50 +466,42 @@ let bootstrap_cmd =
       sets =
     setup_logs ();
     let repo = repo_of_paths paths in
-    match parse_config sets with
-    | Error msg ->
-        Fmt.epr "%s@." msg;
-        1
-    | Ok config -> (
-        match Xpdl_repo.Repo.compose_by_name ~config repo name with
-        | Error msg ->
-            Fmt.epr "%s@." msg;
-            1
-        | Ok c ->
-            let model = c.Xpdl_repo.Repo.model in
-            let machine = Xpdl_simhw.Machine.create ~seed model in
-            if fault_rate > 0. then
-              Xpdl_simhw.Machine.inject_faults machine
-                (Xpdl_simhw.Faults.create ~seed:fault_seed ~rate:fault_rate ());
-            let policy =
-              {
-                Xpdl_microbench.Resilient.default_policy with
-                deadline;
-                budget;
-                retries;
-                fail_fast;
-                frequencies = List.map (fun ghz -> ghz *. 1e9) sweep;
-              }
-            in
-            let store = Xpdl_store.Store.of_model model in
-            let health = Xpdl_microbench.Resilient.run_store ~policy ~machine store in
-            (match format with
-            | Json -> Fmt.pr "%s@." (Xpdl_microbench.Resilient.health_to_json health)
-            | Text ->
-                Fmt.pr "%a@." Xpdl_microbench.Resilient.pp_health health;
-                List.iter
-                  (fun (path, quality) -> Fmt.pr "  %-12s %s@." quality path)
-                  (Xpdl_microbench.Resilient.quality_entries
-                     (Xpdl_store.Store.model store)));
-            let quarantines =
-              List.exists
-                (fun (b : Xpdl_microbench.Resilient.bench) ->
-                  b.Xpdl_microbench.Resilient.b_quarantined)
-                (health.Xpdl_microbench.Resilient.h_benches
-                @ health.Xpdl_microbench.Resilient.h_links)
-            in
-            if fail_fast && (quarantines || health.Xpdl_microbench.Resilient.h_aborted) then 1
-            else 0)
+    let* config = parse_config sets in
+    let* c = Xpdl_repo.Repo.compose_by_name ~config repo name in
+    let model = c.Xpdl_repo.Repo.model in
+    let machine = Xpdl_simhw.Machine.create ~seed model in
+    if fault_rate > 0. then
+      Xpdl_simhw.Machine.inject_faults machine
+        (Xpdl_simhw.Faults.create ~seed:fault_seed ~rate:fault_rate ());
+    let policy =
+      {
+        Xpdl_microbench.Resilient.default_policy with
+        deadline;
+        budget;
+        retries;
+        fail_fast;
+        frequencies = List.map (fun ghz -> ghz *. 1e9) sweep;
+      }
+    in
+    let store = Xpdl_store.Store.of_model model in
+    let health = Xpdl_microbench.Resilient.run_store ~policy ~machine store in
+    (match format with
+    | Json -> Fmt.pr "%s@." (Xpdl_microbench.Resilient.health_to_json health)
+    | Text ->
+        Fmt.pr "%a@." Xpdl_microbench.Resilient.pp_health health;
+        List.iter
+          (fun (path, quality) -> Fmt.pr "  %-12s %s@." quality path)
+          (Xpdl_microbench.Resilient.quality_entries
+             (Xpdl_store.Store.model store)));
+    let quarantines =
+      List.exists
+        (fun (b : Xpdl_microbench.Resilient.bench) ->
+          b.Xpdl_microbench.Resilient.b_quarantined)
+        (health.Xpdl_microbench.Resilient.h_benches
+        @ health.Xpdl_microbench.Resilient.h_links)
+    in
+    if fail_fast && (quarantines || health.Xpdl_microbench.Resilient.h_aborted) then 1
+    else 0
   in
   Cmd.v
     (Cmd.info "bootstrap"
@@ -769,12 +697,6 @@ let dse_cmd =
     let doc = "Evaluate the full cartesian grid (the default)." in
     Arg.(value & flag & info [ "exhaustive" ] ~doc)
   in
-  let jobs_arg =
-    let doc =
-      "Evaluation domains.  Any value yields byte-identical reports at the same seed."
-    in
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-  in
   let seed_arg =
     let doc = "Sweep seed: sampling stream and every per-point machine seed derive from it." in
     Arg.(value & opt int Xpdl_dse.Dse.default_config.Xpdl_dse.Dse.seed
@@ -946,53 +868,45 @@ let serve_cmd =
   in
   let run models system addr deadline max_clients wal fsync checkpoint_every =
     setup_logs ();
-    match Xpdl_repo.Repo.compose_by_name (repo_of_paths models) system with
-    | Error msg ->
-        Fmt.epr "%s@." msg;
-        1
-    | Ok c -> (
-        let durable_store =
-          match wal with
-          | None -> Ok None
-          | Some dir -> (
-              match Xpdl_store.Wal.policy_of_string fsync with
-              | Error msg -> Error msg
-              | Ok policy -> (
-                  match
-                    Xpdl_store.Store.recover ~policy ~checkpoint_every ~dir
-                      c.Xpdl_repo.Repo.model
-                  with
-                  | Error d -> Error (Fmt.str "[%s] %s" d.Xpdl_core.Diagnostic.code d.message)
-                  | Ok (st, diags) ->
-                      List.iter (fun d -> Fmt.pr "%a@." Xpdl_core.Diagnostic.pp d) diags;
-                      Fmt.pr "recovered revision %d from %s@."
-                        (Xpdl_store.Store.revision st) dir;
-                      Ok (Some st)))
-        in
-        match durable_store with
-        | Error msg ->
-            Fmt.epr "%s@." msg;
-            1
-        | Ok st ->
-            let hub =
-              match st with
-              | Some st -> Xpdl_serve.Hub.of_store st
-              | None -> Xpdl_serve.Hub.create c.Xpdl_repo.Repo.model
-            in
-            let srv = Xpdl_serve.Server.start ~max_clients ?deadline_s:deadline addr hub in
-            (match Xpdl_serve.Server.sockaddr srv with
-            | Unix.ADDR_UNIX path -> Fmt.pr "serving %s on unix socket %s@." system path
-            | Unix.ADDR_INET (ip, port) ->
-                Fmt.pr "serving %s on %s:%d@." system (Unix.string_of_inet_addr ip) port);
-            (* SIGINT/SIGTERM end the loop like the deadline does, so the
-               WAL is closed and the stats line printed *)
-            let on_signal = Sys.Signal_handle (fun _ -> Xpdl_serve.Server.request_stop srv) in
-            List.iter (fun s -> Sys.set_signal s on_signal) [ Sys.sigint; Sys.sigterm ];
-            Xpdl_serve.Server.wait srv;
-            Xpdl_serve.Server.stop srv;
-            Option.iter Xpdl_store.Store.close_wal st;
-            Fmt.pr "%s@." (Xpdl_serve.Hub.stats_json hub);
-            0)
+    let* c = Xpdl_repo.Repo.compose_by_name (repo_of_paths models) system in
+    let durable_store =
+      match wal with
+      | None -> Ok None
+      | Some dir -> (
+          match Xpdl_store.Wal.policy_of_string fsync with
+          | Error msg -> Error msg
+          | Ok policy -> (
+              match
+                Xpdl_store.Store.recover ~policy ~checkpoint_every ~dir
+                  c.Xpdl_repo.Repo.model
+              with
+              | Error d -> Error (Fmt.str "[%s] %s" d.Xpdl_core.Diagnostic.code d.message)
+              | Ok (st, diags) ->
+                  List.iter (fun d -> Fmt.pr "%a@." Xpdl_core.Diagnostic.pp d) diags;
+                  Fmt.pr "recovered revision %d from %s@."
+                    (Xpdl_store.Store.revision st) dir;
+                  Ok (Some st)))
+    in
+    let* st = durable_store in
+    let hub =
+      match st with
+      | Some st -> Xpdl_serve.Hub.of_store st
+      | None -> Xpdl_serve.Hub.create c.Xpdl_repo.Repo.model
+    in
+    let srv = Xpdl_serve.Server.start ~max_clients ?deadline_s:deadline addr hub in
+    (match Xpdl_serve.Server.sockaddr srv with
+    | Unix.ADDR_UNIX path -> Fmt.pr "serving %s on unix socket %s@." system path
+    | Unix.ADDR_INET (ip, port) ->
+        Fmt.pr "serving %s on %s:%d@." system (Unix.string_of_inet_addr ip) port);
+    (* SIGINT/SIGTERM end the loop like the deadline does, so the
+       WAL is closed and the stats line printed *)
+    let on_signal = Sys.Signal_handle (fun _ -> Xpdl_serve.Server.request_stop srv) in
+    List.iter (fun s -> Sys.set_signal s on_signal) [ Sys.sigint; Sys.sigterm ];
+    Xpdl_serve.Server.wait srv;
+    Xpdl_serve.Server.stop srv;
+    Option.iter Xpdl_store.Store.close_wal st;
+    Fmt.pr "%s@." (Xpdl_serve.Hub.stats_json hub);
+    0
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1183,8 +1097,9 @@ let chaosproxy_cmd =
         ~listen:(Xpdl_serve.Server.Unix_socket listen) ~upstream ()
     in
     Fmt.pr "chaos proxy on unix socket %s (seed %d)@." listen seed;
-    Sys.catch_break true;
-    (try Xpdl_serve.Chaos.wait proxy with Sys.Break -> ());
+    let on_signal = Sys.Signal_handle (fun _ -> Xpdl_serve.Chaos.request_stop proxy) in
+    List.iter (fun s -> Sys.set_signal s on_signal) [ Sys.sigint; Sys.sigterm ];
+    Xpdl_serve.Chaos.wait proxy;
     Xpdl_serve.Chaos.stop proxy;
     Fmt.pr "%s@." (Xpdl_serve.Chaos.stats_json proxy);
     0
@@ -1292,18 +1207,14 @@ let emit_drivers_cmd =
   let run paths name dir =
     setup_logs ();
     let repo = repo_of_paths paths in
-    match Xpdl_repo.Repo.compose_by_name repo name with
-    | Error msg ->
-        Fmt.epr "%s@." msg;
-        1
-    | Ok c ->
-        let pm = Power.of_element c.Xpdl_repo.Repo.model in
-        List.iter
-          (fun suite ->
-            let files = Xpdl_microbench.Driver.emit_suite ~dir suite in
-            Fmt.pr "suite %s: %a@." suite.Power.su_id Fmt.(list ~sep:comma string) files)
-          pm.Power.pm_suites;
-        0
+    let* c = Xpdl_repo.Repo.compose_by_name repo name in
+    let pm = Power.of_element c.Xpdl_repo.Repo.model in
+    List.iter
+      (fun suite ->
+        let files = Xpdl_microbench.Driver.emit_suite ~dir suite in
+        Fmt.pr "suite %s: %a@." suite.Power.su_id Fmt.(list ~sep:comma string) files)
+      pm.Power.pm_suites;
+    0
   in
   Cmd.v
     (Cmd.info "emit-drivers" ~doc:"Generate microbenchmark driver code for a system")
@@ -1328,14 +1239,10 @@ let emit_uml_cmd =
     end
     else
       let repo = repo_of_paths paths in
-      match Xpdl_repo.Repo.compose_by_name repo target with
-      | Error msg ->
-          Fmt.epr "%s@." msg;
-          1
-      | Ok c ->
-          print_string
-            (Xpdl_toolchain.Uml.model_diagram ~max_depth:depth c.Xpdl_repo.Repo.model);
-          0
+      let* c = Xpdl_repo.Repo.compose_by_name repo target in
+      print_string
+        (Xpdl_toolchain.Uml.model_diagram ~max_depth:depth c.Xpdl_repo.Repo.model);
+      0
   in
   Cmd.v
     (Cmd.info "emit-uml" ~doc:"Emit the PlantUML view (meta-model or a composed system)")
@@ -1358,21 +1265,17 @@ let control_cmd =
   let run paths name =
     setup_logs ();
     let repo = repo_of_paths paths in
-    match Xpdl_repo.Repo.compose_by_name repo name with
-    | Error msg ->
+    let* c = Xpdl_repo.Repo.compose_by_name repo name in
+    match Control.derive c.Xpdl_repo.Repo.model with
+    | tree ->
+        Fmt.pr "%a@." Control.pp_tree tree;
+        (match Control.classify tree with
+        | Some pat -> Fmt.pr "matches platform pattern: %s@." pat.Control.pat_name
+        | None -> Fmt.pr "matches no canonical platform pattern@.");
+        0
+    | exception Control.Control_error msg ->
         Fmt.epr "%s@." msg;
         1
-    | Ok c -> (
-        match Control.derive c.Xpdl_repo.Repo.model with
-        | tree ->
-            Fmt.pr "%a@." Control.pp_tree tree;
-            (match Control.classify tree with
-            | Some pat -> Fmt.pr "matches platform pattern: %s@." pat.Control.pat_name
-            | None -> Fmt.pr "matches no canonical platform pattern@.");
-            0
-        | exception Control.Control_error msg ->
-            Fmt.epr "%s@." msg;
-            1)
   in
   Cmd.v
     (Cmd.info "control"
@@ -1385,13 +1288,9 @@ let to_json_cmd =
   let run paths name =
     setup_logs ();
     let repo = repo_of_paths paths in
-    match Xpdl_repo.Repo.compose_by_name repo name with
-    | Error msg ->
-        Fmt.epr "%s@." msg;
-        1
-    | Ok c ->
-        print_string (Xpdl_toolchain.Json.to_string c.Xpdl_repo.Repo.model);
-        0
+    let* c = Xpdl_repo.Repo.compose_by_name repo name in
+    print_string (Xpdl_toolchain.Json.to_string c.Xpdl_repo.Repo.model);
+    0
   in
   Cmd.v
     (Cmd.info "to-json" ~doc:"Render a composed system as JSON (the HPP-DL style view)")
@@ -1403,13 +1302,9 @@ let to_pdl_cmd =
   let run paths name =
     setup_logs ();
     let repo = repo_of_paths paths in
-    match Xpdl_repo.Repo.compose_by_name repo name with
-    | Error msg ->
-        Fmt.epr "%s@." msg;
-        1
-    | Ok c ->
-        print_string (Xpdl_pdl.Pdl.to_string (Xpdl_pdl.Pdl.of_xpdl c.Xpdl_repo.Repo.model));
-        0
+    let* c = Xpdl_repo.Repo.compose_by_name repo name in
+    print_string (Xpdl_pdl.Pdl.to_string (Xpdl_pdl.Pdl.of_xpdl c.Xpdl_repo.Repo.model));
+    0
   in
   Cmd.v
     (Cmd.info "to-pdl" ~doc:"Downgrade a composed system to a PEPPHER PDL document")

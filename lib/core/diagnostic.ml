@@ -211,29 +211,13 @@ let cap ~max_errors ds =
       ]
   end
 
-(* Minimal JSON string escaping (control chars, quote, backslash). *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (** One diagnostic as a JSON object (see docs/DIAGNOSTICS.md for the
     schema). *)
 let to_json d =
-  Fmt.str {|{"code":"%s","severity":"%s","file":"%s","line":%d,"column":%d,"message":"%s"}|}
-    (json_escape d.code) (severity_name d.severity)
-    (json_escape d.pos.Xpdl_xml.Dom.file)
-    d.pos.Xpdl_xml.Dom.line d.pos.Xpdl_xml.Dom.column (json_escape d.message)
+  Fmt.str {|{"code":%s,"severity":"%s","file":%s,"line":%d,"column":%d,"message":%s}|}
+    (Xpdl_kernel.json_string d.code) (severity_name d.severity)
+    (Xpdl_kernel.json_string d.pos.Xpdl_xml.Dom.file)
+    d.pos.Xpdl_xml.Dom.line d.pos.Xpdl_xml.Dom.column (Xpdl_kernel.json_string d.message)
 
 (** A diagnostic list as the machine-readable report object
     [{"diagnostics": [...], "errors": n, "warnings": n}]. *)

@@ -373,40 +373,14 @@ let eval_point ~(template : Model.element) ~(cfg : config) ~index ~bindings : po
             })
 
 (* ------------------------------------------------------------------ *)
-(* Parallel evaluation: chunked queue over domains, slot-deterministic *)
+(* Parallel evaluation: results land in the slot owned by their grid
+   index, so the merged array — and everything derived from it — is
+   independent of scheduling. *)
 
-(* Each worker claims a contiguous chunk of slots from a shared atomic
-   cursor; results land in the slot owned by their grid index, so the
-   merged array — and everything derived from it — is independent of
-   scheduling.  No work stealing: chunks are small enough (≥ 8 per
-   domain on average) that tail imbalance stays bounded. *)
 let run_points ~jobs ~eval (indices : int array) : point array =
   let n = Array.length indices in
   let results = Array.make n None in
-  let fill slot = results.(slot) <- Some (eval indices.(slot)) in
-  if jobs <= 1 || n <= 1 then
-    for slot = 0 to n - 1 do
-      fill slot
-    done
-  else begin
-    let jobs = min jobs n in
-    let cursor = Atomic.make 0 in
-    let chunk = max 1 (n / (jobs * 8)) in
-    let worker () =
-      let continue = ref true in
-      while !continue do
-        let start = Atomic.fetch_and_add cursor chunk in
-        if start >= n then continue := false
-        else
-          for slot = start to min (n - 1) (start + chunk - 1) do
-            fill slot
-          done
-      done
-    in
-    let domains = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    List.iter Domain.join domains
-  end;
+  Xpdl_kernel.iter ~jobs n (fun slot -> results.(slot) <- Some (eval indices.(slot)));
   Array.map
     (function Some p -> p | None -> invalid_arg "Dse.run_points: unfilled slot")
     results
@@ -582,9 +556,6 @@ let exit_code (r : report) = if r.rp_front = [] then 1 else 0
    parallel-determinism drill cmp-compares this JSON byte-for-byte;
    the CLI appends its own "timing" member, which consumers strip. *)
 
-let jf v = if Float.is_finite v then Fmt.str "%.17g" v else Fmt.str "\"%h\"" v
-let js s = "\"" ^ String.concat "\\\"" (String.split_on_char '"' s) ^ "\""
-
 let status_name = function Evaluated _ -> "ok" | Pruned -> "pruned" | Failed -> "failed"
 
 let quality_to_json q =
@@ -594,16 +565,24 @@ let quality_to_json q =
 let point_to_json p =
   let bindings =
     String.concat ","
-      (List.map (fun (n, v) -> Fmt.str "%s:%s" (js n) (jf v)) p.pt_bindings)
+      (List.map
+         (fun (n, v) ->
+           Fmt.str "%s:%s" (Xpdl_kernel.json_string n) (Xpdl_kernel.json_float v))
+         p.pt_bindings)
   in
   let objectives =
     match p.pt_status with
     | Evaluated o ->
-        Fmt.str {|,"energy":%s,"time":%s,"static_power":%s|} (jf o.o_energy) (jf o.o_time)
-          (jf o.o_static_power)
+        Fmt.str {|,"energy":%s,"time":%s,"static_power":%s|}
+          (Xpdl_kernel.json_float o.o_energy) (Xpdl_kernel.json_float o.o_time)
+          (Xpdl_kernel.json_float o.o_static_power)
     | Pruned | Failed -> ""
   in
-  let variant = match p.pt_variant with Some v -> Fmt.str {|,"variant":%s|} (js v) | None -> "" in
+  let variant =
+    match p.pt_variant with
+    | Some v -> Fmt.str {|,"variant":%s|} (Xpdl_kernel.json_string v)
+    | None -> ""
+  in
   Fmt.str
     {|{"index":%d,"bindings":{%s},"status":"%s"%s%s,"degraded":%b,"quality":%s,"diagnostics":[%s]}|}
     p.pt_index bindings (status_name p.pt_status) objectives variant p.pt_degraded
@@ -615,16 +594,17 @@ let report_to_json (r : report) =
     String.concat ","
       (List.map
          (fun ax ->
-           Fmt.str {|{"name":%s,"values":[%s]}|} (js ax.ax_name)
-             (String.concat "," (Array.to_list (Array.map jf ax.ax_values))))
+           Fmt.str {|{"name":%s,"values":[%s]}|} (Xpdl_kernel.json_string ax.ax_name)
+             (String.concat "," (Array.to_list (Array.map Xpdl_kernel.json_float ax.ax_values))))
          r.rp_axes)
   in
   let sens =
     String.concat ","
       (List.map
          (fun s ->
-           Fmt.str {|{"axis":%s,"energy":%s,"time":%s,"static_power":%s}|} (js s.sx_axis)
-             (jf s.sx_energy) (jf s.sx_time) (jf s.sx_static))
+           Fmt.str {|{"axis":%s,"energy":%s,"time":%s,"static_power":%s}|}
+             (Xpdl_kernel.json_string s.sx_axis) (Xpdl_kernel.json_float s.sx_energy)
+             (Xpdl_kernel.json_float s.sx_time) (Xpdl_kernel.json_float s.sx_static))
          r.rp_sensitivity)
   in
   Fmt.str

@@ -39,6 +39,7 @@ let default_seed = 20150901 (* the paper's conference date; arbitrary but fixed 
    an escaped exception is itself a failure (the "never crashes"
    half of every property). *)
 let guarded f = try f () with exn -> Some ("uncaught exception: " ^ Printexc.to_string exn)
+let fail fmt = Fmt.kstr Option.some fmt
 
 let approx_equal a b =
   let tol = 1e-9 *. Float.max 1. (Float.max (Float.abs a) (Float.abs b)) in
@@ -73,7 +74,6 @@ let check_query_vs_oracle (doc : Dom.element) : string option =
   | Some m ->
       let ir = Ir.of_model m in
       let q = Query.of_ir ir in
-      let fail fmt = Fmt.kstr Option.some fmt in
       let entries = Oracle.paths m in
       let check_int name fast naive =
         if fast <> naive then fail "%s: fast=%d naive=%d" name fast naive else None
@@ -185,19 +185,17 @@ let check_query_vs_oracle (doc : Dom.element) : string option =
 
 (* --- property: arena-vs-oracle --- *)
 
-(* The flat arena IR and both wire formats against the naive Model-side
-   oracle: the v2 save/load/save cycle must be the identity on bytes
-   (zero-copy contract), a v1-encoded model must migrate to the same
-   semantic tree, and every node of every reloaded arena must agree with
-   the oracle's document-order walk on kind, identifier, path, parent,
-   preorder subtree span and attributes. *)
+(* The flat arena IR and its wire format against the naive Model-side
+   oracle: the save/load/save cycle must be the identity on bytes
+   (zero-copy contract), and every node of the reloaded arena must agree
+   with the oracle's document-order walk on kind, identifier, path,
+   parent, preorder subtree span and attributes. *)
 let check_arena_oracle (doc : Dom.element) : string option =
   guarded @@ fun () ->
   match compose_doc doc with
   | None -> None
   | Some m ->
       let ir = Ir.of_model m in
-      let fail fmt = Fmt.kstr Option.some fmt in
       let entries = Oracle.paths m in
       let b = Ir.to_bytes ir in
       let ir2 = Ir.of_bytes b in
@@ -207,37 +205,33 @@ let check_arena_oracle (doc : Dom.element) : string option =
         match Ir.verify ir2 with
         | Error d -> fail "fresh save fails verify: %s" d.Diagnostic.message
         | Ok () ->
-            let check_against (label, ir') =
-              if Ir.size ir' <> Ir.size ir then
-                fail "%s: %d nodes, oracle has %d" label (Ir.size ir') (Ir.size ir)
-              else
-                List.find_map
-                  (fun (path, rank, (e : Model.element)) ->
-                    let a = Ir.node ir rank and b = Ir.node ir' rank in
-                    if not (Schema.equal_kind b.Ir.n_kind e.Model.kind) then
-                      fail "%s node %d (%s): kind %s, oracle %s" label rank path
-                        (Schema.tag_of_kind b.Ir.n_kind) (Schema.tag_of_kind e.Model.kind)
-                    else if b.Ir.n_ident <> Model.identifier e then
-                      fail "%s node %d (%s): ident mismatch vs oracle" label rank path
-                    else if not (String.equal b.Ir.n_path path) then
-                      fail "%s node %d: path %S, oracle %S" label rank b.Ir.n_path path
-                    else if b.Ir.n_subtree_end - rank <> Oracle.subtree_size e then
-                      fail "%s node %d (%s): span %d, oracle subtree %d" label rank path
-                        (b.Ir.n_subtree_end - rank) (Oracle.subtree_size e)
-                    else if b.Ir.n_parent <> a.Ir.n_parent then
-                      fail "%s node %d (%s): parent %d, expected %d" label rank path
-                        b.Ir.n_parent a.Ir.n_parent
-                    else if b.Ir.n_children <> a.Ir.n_children then
-                      fail "%s node %d (%s): children differ" label rank path
-                    else if b.Ir.n_type <> a.Ir.n_type then
-                      fail "%s node %d (%s): type mismatch" label rank path
-                    else if b.Ir.n_attrs <> a.Ir.n_attrs then
-                      fail "%s node %d (%s): attributes differ after reload" label rank path
-                    else None)
-                  entries
-            in
-            List.find_map check_against
-              [ ("v2 reload", ir2); ("v1 migration", Ir.of_bytes (Ir.to_bytes_v1 ir)) ]
+            if Ir.size ir2 <> Ir.size ir then
+              fail "reload: %d nodes, oracle has %d" (Ir.size ir2) (Ir.size ir)
+            else
+              List.find_map
+                (fun (path, rank, (e : Model.element)) ->
+                  let a = Ir.node ir rank and b = Ir.node ir2 rank in
+                  if not (Schema.equal_kind b.Ir.n_kind e.Model.kind) then
+                    fail "node %d (%s): kind %s, oracle %s" rank path
+                      (Schema.tag_of_kind b.Ir.n_kind) (Schema.tag_of_kind e.Model.kind)
+                  else if b.Ir.n_ident <> Model.identifier e then
+                    fail "node %d (%s): ident mismatch vs oracle" rank path
+                  else if not (String.equal b.Ir.n_path path) then
+                    fail "node %d: path %S, oracle %S" rank b.Ir.n_path path
+                  else if b.Ir.n_subtree_end - rank <> Oracle.subtree_size e then
+                    fail "node %d (%s): span %d, oracle subtree %d" rank path
+                      (b.Ir.n_subtree_end - rank) (Oracle.subtree_size e)
+                  else if b.Ir.n_parent <> a.Ir.n_parent then
+                    fail "node %d (%s): parent %d, expected %d" rank path b.Ir.n_parent
+                      a.Ir.n_parent
+                  else if b.Ir.n_children <> a.Ir.n_children then
+                    fail "node %d (%s): children differ" rank path
+                  else if b.Ir.n_type <> a.Ir.n_type then
+                    fail "node %d (%s): type mismatch" rank path
+                  else if b.Ir.n_attrs <> a.Ir.n_attrs then
+                    fail "node %d (%s): attributes differ after reload" rank path
+                  else None)
+                entries
       end
 
 (* --- property: store-incremental --- *)
@@ -261,7 +255,6 @@ let check_store_incremental (doc : Dom.element) : string option =
       (* the edit stream must be deterministic across shrink re-runs of
          the same document, so it gets its own fixed-seed generator *)
       let g = Gen.create ~seed:default_seed in
-      let fail fmt = Fmt.kstr Option.some fmt in
       let bits = Int64.bits_of_float in
       let check_step step =
         let scratch = Store.model store in
@@ -509,7 +502,6 @@ let check_bootstrap (doc : Dom.element) ~machine_seed ~fault_seed ~rate ~offline
     string option =
   guarded @@ fun () ->
   let m0, _ = Elaborate.of_xml doc in
-  let fail fmt = Fmt.kstr Option.some fmt in
   let unknowns m =
     List.rev
       (Model.fold_index_paths
@@ -611,7 +603,6 @@ let check_serve_mvcc (doc : Dom.element) : string option =
       let store = Hub.store hub in
       (* fixed-seed op stream, deterministic across shrink re-runs *)
       let g = Gen.create ~seed:default_seed in
-      let fail fmt = Fmt.kstr Option.some fmt in
       let bits = Int64.bits_of_float in
       let n_sessions = 2 + Gen.int g 3 in
       (* oracle per session: pinned rev -> model captured at pin time,
@@ -1120,7 +1111,6 @@ let apply_dedit st d =
 let run_durable_scenario ~dir ~init ~script ~checkpoint_every ~crash_sel () : string option =
   let n = Array.length script in
   remove_tree dir;
-  let fail fmt = Fmt.kstr Option.some fmt in
   Fun.protect ~finally:(fun () -> remove_tree dir) @@ fun () ->
   match Store.recover ~policy:Wal.Never ~checkpoint_every ~dir init with
   | Error d -> fail "recover (fresh dir): [%s] %s" d.Diagnostic.code d.Diagnostic.message
@@ -1264,129 +1254,73 @@ type property = { p_name : string; p_run : seed:int -> case:int -> (string * str
 
 let gen_for ~seed ~name ~case = Gen.case ~seed ~salt:(Fmt.str "%s:%d" name case)
 
-let element_property name generate check =
+(* [draw] takes every random choice up front and returns the input with
+   the check it must pass, so the check is a pure function of its input
+   and the minimizer can replay it on smaller inputs. *)
+let element_property ~minimize ~print name draw =
   let run ~seed ~case =
-    let g = gen_for ~seed ~name ~case in
-    let x = generate g in
+    let x, check = draw (gen_for ~seed ~name ~case) in
     match check x with
     | None -> None
     | Some msg ->
-        let still_failing e = check e <> None in
-        let min = Gen.minimize still_failing x in
-        let msg = Option.value ~default:msg (check min) in
-        Some (msg, Print.to_string min)
+        let min = minimize (fun x -> check x <> None) x in
+        Some (Option.value ~default:msg (check min), print min)
+  in
+  { p_name = name; p_run = run }
+
+let doc_property name generate check =
+  element_property ~minimize:Gen.minimize ~print:Print.to_string name (fun g ->
+      (generate g, check))
+
+(* A property that keeps state on disk: a fresh directory per case. *)
+let dir_property name prefix check =
+  let run ~seed ~case =
+    let g = gen_for ~seed ~name ~case in
+    let dir =
+      Filename.concat (Filename.get_temp_dir_name ())
+        (Fmt.str "%s_%d_%d_%d" prefix (Unix.getpid ()) seed case)
+    in
+    check g ~dir
   in
   { p_name = name; p_run = run }
 
 let properties =
   [
-    element_property "query-vs-oracle" Gen.document check_query_vs_oracle;
-    element_property "arena-vs-oracle" Gen.document check_arena_oracle;
-    element_property "print-parse-roundtrip"
+    doc_property "query-vs-oracle" Gen.document check_query_vs_oracle;
+    doc_property "arena-vs-oracle" Gen.document check_arena_oracle;
+    doc_property "print-parse-roundtrip"
       (fun g -> if Gen.chance g 0.5 then Gen.xml g else Gen.document g)
       check_roundtrip;
-    {
-      p_name = "parse-recovery";
-      p_run =
-        (fun ~seed ~case ->
-          let g = gen_for ~seed ~name:"parse-recovery" ~case in
-          let s = Gen.corrupt g (Print.to_string (Gen.document g)) in
-          match check_recovery s with
-          | None -> None
-          | Some msg ->
-              let still_failing s = check_recovery s <> None in
-              let min = Gen.minimize_string still_failing s in
-              Some (Option.value ~default:msg (check_recovery min), Fmt.str "%S" min));
-    };
-    {
-      p_name = "psm-optimal";
-      p_run =
-        (fun ~seed ~case ->
-          let g = gen_for ~seed ~name:"psm-optimal" ~case in
-          let sm = Gen.state_machine g in
-          match check_psm sm with
-          | None -> None
-          | Some msg ->
-              let still_failing sm = check_psm sm <> None in
-              let min = Gen.minimize_machine still_failing sm in
-              Some (Option.value ~default:msg (check_psm min), Fmt.str "%a" Gen.pp_machine min));
-    };
-    element_property "store-incremental" Gen.document check_store_incremental;
-    {
-      p_name = "store-durable";
-      p_run =
-        (fun ~seed ~case ->
-          let g = gen_for ~seed ~name:"store-durable" ~case in
-          let dir =
-            Filename.concat (Filename.get_temp_dir_name ())
-              (Fmt.str "xpdl_durable_%d_%d_%d" (Unix.getpid ()) seed case)
-          in
-          check_store_durable g ~dir);
-    };
-    element_property "serve-mvcc" Gen.document check_serve_mvcc;
-    element_property "elaborate-deterministic" Gen.document check_deterministic;
-    {
-      p_name = "bootstrap-fault-tolerant";
-      p_run =
-        (fun ~seed ~case ->
-          let g = gen_for ~seed ~name:"bootstrap-fault-tolerant" ~case in
-          (* all randomness is drawn up front: the check replays the
-             bootstrap twice and compares reports, so the runs themselves
-             must be pure functions of the drawn parameters *)
-          let doc = Gen.bench_model g in
-          let machine_seed = 1 + Gen.int g 10_000 in
-          let fault_seed = 1 + Gen.int g 10_000 in
-          let rate = 0.15 +. (float_of_int (Gen.int g 50) /. 100.) in
-          let offline_after = if Gen.chance g 0.25 then Some (3 + Gen.int g 60) else None in
-          let check d = check_bootstrap d ~machine_seed ~fault_seed ~rate ~offline_after in
-          match check doc with
-          | None -> None
-          | Some msg ->
-              let still_failing e = check e <> None in
-              let min = Gen.minimize still_failing doc in
-              Some (Option.value ~default:msg (check min), Print.to_string min));
-    };
-    {
-      p_name = "dse-pareto";
-      p_run =
-        (fun ~seed ~case ->
-          let g = gen_for ~seed ~name:"dse-pareto" ~case in
-          (* all randomness up front, as in bootstrap-fault-tolerant *)
-          let doc = Gen.dse_template g in
-          let sweep_seed = 1 + Gen.int g 100_000 in
-          let rows = 24 + Gen.int g 40 in
-          let density = 0.05 +. (float_of_int (Gen.int g 25) /. 100.) in
-          let parallel = Gen.chance g 0.25 in
-          let check d = check_dse_pareto d ~sweep_seed ~rows ~density ~parallel in
-          match check doc with
-          | None -> None
-          | Some msg ->
-              let still_failing e = check e <> None in
-              let min = Gen.minimize still_failing doc in
-              Some (Option.value ~default:msg (check min), Print.to_string min));
-    };
-    {
-      p_name = "repo-lazy";
-      p_run =
-        (fun ~seed ~case ->
-          let g = gen_for ~seed ~name:"repo-lazy" ~case in
-          let dir =
-            Filename.concat (Filename.get_temp_dir_name ())
-              (Fmt.str "xpdl_repolazy_%d_%d_%d" (Unix.getpid ()) seed case)
-          in
-          remove_tree dir;
-          Fun.protect ~finally:(fun () -> remove_tree dir) (fun () -> check_repo_lazy g ~dir));
-    };
-    {
-      p_name = "charref-oracle";
-      p_run =
-        (fun ~seed ~case ->
-          let g = gen_for ~seed ~name:"charref-oracle" ~case in
-          let body = Gen.charref g in
-          match check_charref body with
-          | None -> None
-          | Some msg -> Some (msg, Fmt.str "&%s;" body));
-    };
+    element_property ~minimize:Gen.minimize_string ~print:(Fmt.str "%S") "parse-recovery"
+      (fun g -> (Gen.corrupt g (Print.to_string (Gen.document g)), check_recovery));
+    element_property ~minimize:Gen.minimize_machine ~print:(Fmt.str "%a" Gen.pp_machine)
+      "psm-optimal" (fun g -> (Gen.state_machine g, check_psm));
+    doc_property "store-incremental" Gen.document check_store_incremental;
+    dir_property "store-durable" "xpdl_durable" check_store_durable;
+    doc_property "serve-mvcc" Gen.document check_serve_mvcc;
+    doc_property "elaborate-deterministic" Gen.document check_deterministic;
+    element_property ~minimize:Gen.minimize ~print:Print.to_string "bootstrap-fault-tolerant"
+      (fun g ->
+        (* the check replays the bootstrap twice and compares reports, so
+           the runs themselves must be pure functions of these draws *)
+        let doc = Gen.bench_model g in
+        let machine_seed = 1 + Gen.int g 10_000 in
+        let fault_seed = 1 + Gen.int g 10_000 in
+        let rate = 0.15 +. (float_of_int (Gen.int g 50) /. 100.) in
+        let offline_after = if Gen.chance g 0.25 then Some (3 + Gen.int g 60) else None in
+        (doc, fun d -> check_bootstrap d ~machine_seed ~fault_seed ~rate ~offline_after));
+    element_property ~minimize:Gen.minimize ~print:Print.to_string "dse-pareto" (fun g ->
+        let doc = Gen.dse_template g in
+        let sweep_seed = 1 + Gen.int g 100_000 in
+        let rows = 24 + Gen.int g 40 in
+        let density = 0.05 +. (float_of_int (Gen.int g 25) /. 100.) in
+        let parallel = Gen.chance g 0.25 in
+        (doc, fun d -> check_dse_pareto d ~sweep_seed ~rows ~density ~parallel));
+    dir_property "repo-lazy" "xpdl_repolazy" (fun g ~dir ->
+        remove_tree dir;
+        Fun.protect ~finally:(fun () -> remove_tree dir) (fun () -> check_repo_lazy g ~dir));
+    element_property ~minimize:(fun _ body -> body) ~print:(Fmt.str "&%s;") "charref-oracle"
+      (fun g -> (Gen.charref g, check_charref));
   ]
 
 let property_names = List.map (fun p -> p.p_name) properties

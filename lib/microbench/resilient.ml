@@ -617,29 +617,31 @@ let quality_entries (root : Model.element) : (string * string) list =
 (* ------------------------------------------------------------------ *)
 (* Reports *)
 
-let js s = "\"" ^ String.concat "\\\"" (String.split_on_char '"' s) ^ "\""
-let jf v = if Float.is_finite v then Fmt.str "%.17g" v else js (Fmt.str "%h" v)
-
 let attempt_to_json a =
   Fmt.str {|{"n":%d,"outcome":%s,"samples":%d,"rejected":%d,"elapsed":%s,"backoff":%s}|} a.at_n
-    (js (match a.at_failure with None -> "ok" | Some f -> failure_name f))
-    a.at_samples a.at_rejected (jf a.at_elapsed) (jf a.at_backoff)
+    (Xpdl_kernel.json_string (match a.at_failure with None -> "ok" | Some f -> failure_name f))
+    a.at_samples a.at_rejected (Xpdl_kernel.json_float a.at_elapsed)
+    (Xpdl_kernel.json_float a.at_backoff)
 
 let bench_to_json b =
   Fmt.str
     {|{"instruction":%s,"benchmark":%s,"quality":%s,"quarantined":%b,"energy":%s,"attempts":[%s],"sweep":[%s]}|}
-    (js b.b_instruction) (js b.b_benchmark)
-    (js (quality_name b.b_quality))
+    (Xpdl_kernel.json_string b.b_instruction) (Xpdl_kernel.json_string b.b_benchmark)
+    (Xpdl_kernel.json_string (quality_name b.b_quality))
     b.b_quarantined
-    (match b.b_energy with Some j -> jf j | None -> "null")
+    (match b.b_energy with Some j -> Xpdl_kernel.json_float j | None -> "null")
     (String.concat "," (List.map attempt_to_json b.b_attempts))
-    (String.concat "," (List.map (fun (hz, j) -> Fmt.str "[%s,%s]" (jf hz) (jf j)) b.b_sweep))
+    (String.concat ","
+       (List.map
+          (fun (hz, j) ->
+            Fmt.str "[%s,%s]" (Xpdl_kernel.json_float hz) (Xpdl_kernel.json_float j))
+          b.b_sweep))
 
 let health_to_json h =
   Fmt.str
     {|{"elapsed":%s,"budget":%s,"budget_exhausted":%b,"aborted":%b,"fault_reads":%d,"fault_events":%d,"benches":[%s],"links":[%s],"diagnostics":[%s]}|}
-    (jf h.h_elapsed) (jf h.h_budget) h.h_budget_exhausted h.h_aborted h.h_fault_reads
-    h.h_fault_events
+    (Xpdl_kernel.json_float h.h_elapsed) (Xpdl_kernel.json_float h.h_budget)
+    h.h_budget_exhausted h.h_aborted h.h_fault_reads h.h_fault_events
     (String.concat "," (List.map bench_to_json h.h_benches))
     (String.concat "," (List.map bench_to_json h.h_links))
     (String.concat "," (List.map Diagnostic.to_json h.h_diags))

@@ -709,8 +709,8 @@ type validation = {
   va_errors : Diagnostic.t list;
 }
 
-(* Validate every descriptor, sharded over [jobs] domains with a chunked
-   atomic cursor (as in Dse.run_points).  Two phases, both sharded:
+(* Validate every descriptor, sharded over [jobs] domains by
+   [Xpdl_kernel.iter].  Two phases, both sharded:
 
    Phase A materializes every pending descriptor with exactly one parse
    per file.  Workers claim contiguous runs of pending slots grouped by
@@ -732,34 +732,6 @@ type validation = {
    repository content — the XPDL305 dedup table affects only the
    repository's own diagnostic stream, never a validation result. *)
 let validate_all ?(jobs = 1) t =
-  let jobs = max 1 jobs in
-  let run_sharded n work =
-    let workers = max 1 (min jobs n) in
-    if workers = 1 then
-      for i = 0 to n - 1 do
-        work i
-      done
-    else begin
-      let cursor = Atomic.make 0 in
-      let chunk = max 1 (n / (workers * 8)) in
-      let worker () =
-        let rec loop () =
-          let start = Atomic.fetch_and_add cursor chunk in
-          if start < n then begin
-            let stop = min n (start + chunk) in
-            for i = start to stop - 1 do
-              work i
-            done;
-            loop ()
-          end
-        in
-        loop ()
-      in
-      let domains = List.init (workers - 1) (fun _ -> Domain.spawn worker) in
-      worker ();
-      List.iter Domain.join domains
-    end
-  in
   let targets, pend, warm =
     locked t (fun () ->
         Hashtbl.fold
@@ -796,7 +768,7 @@ let validate_all ?(jobs = 1) t =
     Array.of_list (List.rev !acc)
   in
   let fetched = Array.make np None in
-  run_sharded (Array.length groups) (fun gi ->
+  Xpdl_kernel.iter ~jobs (Array.length groups) (fun gi ->
       let file, lo, hi = groups.(gi) in
       let parsed = parse_descriptors file in
       for k = lo to hi do
@@ -827,7 +799,7 @@ let validate_all ?(jobs = 1) t =
   in
   let n = Array.length targets in
   let results = Array.make n None in
-  run_sharded n (fun i ->
+  Xpdl_kernel.iter ~jobs n (fun i ->
       let ident, kind = targets.(i) in
       let errors =
         match snap_find ident with

@@ -6,8 +6,8 @@
      6   u64 format version = 1
      14  u64 x 6: file count, descriptor count, diagnostic count,
                   string count, string blob length, total length
-     62  u64 payload checksum (63-bit FNV-1a over everything after the
-         header, same fold as the runtime-model arena)
+     62  u64 payload checksum (Xpdl_kernel.checksum_sub of everything
+         after the header, as in the runtime-model arena)
      70  string table  (nstr+1) x u32 offsets, then blob
          file records  nf x (path u32, mtime f64-bits, size u64,
                              flags u8, ndescs u32, ndiags u32)
@@ -25,6 +25,7 @@
    relies on this). *)
 
 open Xpdl_core
+module Strtab = Xpdl_kernel.Strtab
 
 type diag = {
   dg_severity : Diagnostic.severity;
@@ -66,22 +67,6 @@ let format_version = 1
 let header_size = 70
 let checksum_off = 62
 
-(* The same 63-bit FNV-1a variant as the runtime-model arena: eight
-   bytes at a time, top bit masked so it round-trips a u64 slot. *)
-let fnv_prime = 0x100000001b3
-
-let checksum_sub (s : string) pos len =
-  let h = ref 0x2545F4914F6CDD1D in
-  let words = len / 8 in
-  for w = 0 to words - 1 do
-    let c = Int64.to_int (String.get_int64_le s (pos + (8 * w))) in
-    h := (!h lxor c) * fnv_prime land max_int
-  done;
-  for o = pos + (8 * words) to pos + len - 1 do
-    h := (!h lxor Char.code (String.unsafe_get s o)) * fnv_prime land max_int
-  done;
-  !h
-
 (* --- severity codes --- *)
 
 let sev_code = function Diagnostic.Error -> 0 | Diagnostic.Warning -> 1 | Diagnostic.Info -> 2
@@ -115,28 +100,6 @@ let to_diag ~owner (g : diag) : Diagnostic.t =
     message = g.dg_msg;
   }
 
-(* --- interner (first-appearance order, as in Ir.encode) --- *)
-
-type interner = {
-  it_tbl : (string, int) Hashtbl.t;
-  mutable it_rev : string list;
-  mutable it_cnt : int;
-  mutable it_blob : int;
-}
-
-let interner () = { it_tbl = Hashtbl.create 256; it_rev = []; it_cnt = 0; it_blob = 0 }
-
-let intern_in it s =
-  match Hashtbl.find_opt it.it_tbl s with
-  | Some i -> i
-  | None ->
-      let i = it.it_cnt in
-      Hashtbl.add it.it_tbl s i;
-      it.it_rev <- s :: it.it_rev;
-      it.it_cnt <- i + 1;
-      it.it_blob <- it.it_blob + String.length s;
-      i
-
 let w32 b o v = Bytes.set_int32_le b o (Int32.of_int v)
 let w64 b o v = Bytes.set_int64_le b o (Int64.of_int v)
 
@@ -149,33 +112,33 @@ let diag_rec_size = 1 + 4 + 4 + 4 + 4 + 4
 let fingerprint_matches fr ~mtime ~size = Float.equal fr.fr_mtime mtime && fr.fr_size = size
 
 let encode (t : t) : string =
-  let strs = interner () in
+  let strs = Strtab.create () in
   let nf = Array.length t.files in
   let nd = ref 0 and ng = ref 0 in
   (* intern in record order for determinism *)
   let intern_diag g =
-    ignore (intern_in strs g.dg_code);
-    ignore (intern_in strs g.dg_file);
-    ignore (intern_in strs g.dg_msg);
+    ignore (Strtab.intern strs g.dg_code);
+    ignore (Strtab.intern strs g.dg_file);
+    ignore (Strtab.intern strs g.dg_msg);
     incr ng
   in
   Array.iter
     (fun fr ->
-      ignore (intern_in strs fr.fr_path);
+      ignore (Strtab.intern strs fr.fr_path);
       List.iter intern_diag fr.fr_parse_diags;
       List.iter
         (fun d ->
-          ignore (intern_in strs (Option.value ~default:"" d.d_ident));
-          ignore (intern_in strs d.d_kind);
+          ignore (Strtab.intern strs (Option.value ~default:"" d.d_ident));
+          ignore (Strtab.intern strs d.d_kind);
           incr nd;
           List.iter intern_diag d.d_diags)
         fr.fr_descs)
     t.files;
   let nd = !nd and ng = !ng in
-  let nstr = strs.it_cnt in
+  let nstr = Strtab.count strs in
   let o_str_off = header_size in
   let o_str_blob = o_str_off + (4 * (nstr + 1)) in
-  let o_files = o_str_blob + strs.it_blob in
+  let o_files = o_str_blob + Strtab.blob_length strs in
   let o_descs = o_files + (file_rec_size * nf) in
   let o_diags = o_descs + (desc_rec_size * nd) in
   let total = o_diags + (diag_rec_size * ng) in
@@ -186,20 +149,11 @@ let encode (t : t) : string =
   w64 b 22 nd;
   w64 b 30 ng;
   w64 b 38 nstr;
-  w64 b 46 strs.it_blob;
+  w64 b 46 (Strtab.blob_length strs);
   w64 b 54 total;
   w64 b checksum_off 0;
-  (* string table *)
-  let items = Array.of_list (List.rev strs.it_rev) in
-  let off = ref 0 in
-  Array.iteri
-    (fun i s ->
-      w32 b (o_str_off + (4 * i)) !off;
-      Bytes.blit_string s 0 b (o_str_blob + !off) (String.length s);
-      off := !off + String.length s)
-    items;
-  w32 b (o_str_off + (4 * Array.length items)) !off;
-  let sid s = match Hashtbl.find_opt strs.it_tbl s with Some i -> i | None -> assert false in
+  Strtab.write strs b ~offsets:o_str_off ~blob:o_str_blob;
+  let sid = Strtab.intern strs in
   (* records *)
   let di = ref 0 and gi = ref 0 in
   let put_diag g =
@@ -237,7 +191,7 @@ let encode (t : t) : string =
         fr.fr_descs)
     t.files;
   let s = Bytes.unsafe_to_string b in
-  let ck = checksum_sub s header_size (total - header_size) in
+  let ck = Xpdl_kernel.checksum_sub s header_size (total - header_size) in
   w64 b checksum_off ck;
   Bytes.unsafe_to_string b
 
@@ -274,12 +228,8 @@ let decode (s : string) : (t, Diagnostic.t) result =
     let o_total = o_diags + (diag_rec_size * ng) in
     if o_total <> len then bad "section arithmetic does not cover the image";
     let stored = Int64.to_int (String.get_int64_le s checksum_off) land max_int in
-    let b = Bytes.of_string s in
-    w64 b checksum_off 0;
-    let actual =
-      checksum_sub (Bytes.unsafe_to_string b) header_size (len - header_size)
-    in
-    if stored <> actual then bad "checksum mismatch";
+    if stored <> Xpdl_kernel.checksum_sub s header_size (len - header_size) then
+      bad "checksum mismatch";
     let str i =
       if i < 0 || i >= nstr then bad "string id %d out of range" i;
       let a = u32 s (o_str_off + (4 * i)) and z = u32 s (o_str_off + (4 * (i + 1))) in
@@ -346,39 +296,11 @@ let decode (s : string) : (t, Diagnostic.t) result =
 
 let save ~root (t : t) : (unit, Diagnostic.t) result =
   let path = path_for_root root in
-  let tmp = path ^ ".tmp" in
-  match
-    (* write + fsync the temp file before the rename publishes it: a
-       crash between rename and writeback must not leave a live index
-       whose bytes never reached the disk.  The directory fsync is
-       best-effort, like the WAL checkpoint writer. *)
-    let data = encode t in
-    let fd = Unix.openfile tmp [ Unix.O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o644 in
-    (try
-       let n = String.length data in
-       let off = ref 0 in
-       while !off < n do
-         off := !off + Unix.write_substring fd data !off (n - !off)
-       done;
-       Unix.fsync fd;
-       Unix.close fd
-     with e ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       (try Sys.remove tmp with Sys_error _ -> ());
-       raise e);
-    Unix.rename tmp path;
-    (match Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY; O_CLOEXEC ] 0 with
-    | dfd ->
-        (try Unix.fsync dfd with Unix.Unix_error _ -> ());
-        (try Unix.close dfd with Unix.Unix_error _ -> ())
-    | exception Unix.Unix_error _ -> ())
-  with
+  match Xpdl_kernel.write ~path (encode t) with
   | () -> Ok ()
   | exception Sys_error m ->
-      (try Sys.remove tmp with Sys_error _ -> ());
       Error (Diagnostic.warning ~code:"XPDL313" "cannot write repository index %s: %s" path m)
   | exception Unix.Unix_error (err, _, _) ->
-      (try Sys.remove tmp with Sys_error _ -> ());
       Error
         (Diagnostic.warning ~code:"XPDL313" "cannot write repository index %s: %s" path
            (Unix.error_message err))

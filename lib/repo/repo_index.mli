@@ -11,11 +11,13 @@
 
     The codec follows the runtime-model arena conventions
     (lib/toolchain/ir.ml): magic + version header, interned string table
-    in first-appearance order, 63-bit FNV payload checksum, and a single
-    deterministic writer — saving the same index twice yields identical
-    bytes.  A corrupt or truncated index never crashes the loader: it
-    decodes to a coded [XPDL311] diagnostic and the caller falls back to
-    a full scan. *)
+    in first-appearance order, {!Xpdl_kernel.checksum_sub} payload
+    checksum, and a single deterministic writer — saving the same index
+    twice yields identical bytes.  A corrupt or truncated index never
+    crashes the loader: it decodes to a coded [XPDL311] diagnostic and
+    the caller falls back to a full scan (so does a sidecar written
+    before the checksum folded in bits 62–63 of each word, which is
+    rebuilt on the next open). *)
 
 open Xpdl_core
 

@@ -34,21 +34,13 @@ type conn = {
 }
 
 type t = {
-  listen_fd : Unix.file_descr;
-  bound : Unix.sockaddr;
+  l : Server.Listener.t;
   upstream : Server.addr;
   plan : plan;
   seed : int;
-  stop_r : Unix.file_descr;
-  stop_w : Unix.file_descr;
   max_clients : int;
-  deadline : float option;
-  cleanup : unit -> unit;
   mutable conns : conn list;
   mutable next_cid : int;
-  mutable alive : bool;
-  mutable domain : unit Domain.t option;
-  mutable stopped : bool;
   rbuf : Bytes.t;
   (* fault counters, for [stats_json] *)
   mutable accepted : int;
@@ -57,21 +49,12 @@ type t = {
   mutable resets : int;
 }
 
-let sockaddr t = t.bound
-let running t = t.alive
+let sockaddr t = Server.Listener.sockaddr t.l
+let running t = Server.Listener.running t.l
 
 let fresh_pipe () = { buf = Buffer.create 4096; pos = 0; stall_until = 0.; src_eof = false }
 
 let pending p = Buffer.length p.buf - p.pos
-
-let resolve_addr = function
-  | Server.Unix_socket path -> (Unix.ADDR_UNIX path, Unix.PF_UNIX)
-  | Server.Tcp (host, port) ->
-      let ip =
-        try Unix.inet_addr_of_string host
-        with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-      in
-      (Unix.ADDR_INET (ip, port), Unix.PF_INET)
 
 let close_conn t c =
   if not c.dead then begin
@@ -88,21 +71,13 @@ let inject_reset t c =
   close_conn t c
 
 let accept_conn t =
-  match Unix.accept t.listen_fd with
+  match Unix.accept (Server.Listener.fd t.l) with
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
   | down, _peer ->
       if List.length t.conns >= t.max_clients then Unix.close down
       else begin
-        let sa, dom = resolve_addr t.upstream in
-        match
-          let up = Unix.socket dom Unix.SOCK_STREAM 0 in
-          (try Unix.connect up sa
-           with e ->
-             Unix.close up;
-             raise e);
-          up
-        with
-        | exception (Unix.Unix_error _ as _e) -> Unix.close down
+        match Client.open_fd t.upstream with
+        | exception Unix.Unix_error _ -> Unix.close down
         | up ->
             Unix.set_nonblock down;
             Unix.set_nonblock up;
@@ -165,64 +140,48 @@ let pump_out t c p dst =
     end
   end
 
-let loop t =
-  let stop = ref false in
-  while not !stop do
-    (match t.deadline with Some d when Unix.gettimeofday () >= d -> stop := true | _ -> ());
-    if not !stop then begin
-      let readables =
-        t.stop_r :: t.listen_fd
-        :: List.concat_map
-             (fun c ->
-               (if c.c2s.src_eof then [] else [ c.down ])
-               @ if c.s2c.src_eof then [] else [ c.up ])
-             t.conns
-      in
-      let writables =
-        List.concat_map
-          (fun c ->
-            (if pending c.c2s > 0 then [ c.up ] else [])
-            @ if pending c.s2c > 0 then [ c.down ] else [])
-          t.conns
-      in
-      (* a short tick so stalled directions resume without new IO *)
-      match Unix.select readables writables [] 0.01 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | rs, ws, _ ->
-          if List.mem t.stop_r rs then stop := true
-          else begin
-            if List.mem t.listen_fd rs then accept_conn t;
-            List.iter
-              (fun c ->
-                if not c.dead then begin
-                  if List.mem c.down rs then pump_in t c c.c2s c.down;
-                  if (not c.dead) && List.mem c.up rs then pump_in t c c.s2c c.up
-                end)
-              t.conns;
-            List.iter
-              (fun c ->
-                if not c.dead then begin
-                  if List.mem c.up ws || pending c.c2s > 0 then pump_out t c c.c2s c.up;
-                  if (not c.dead) && (List.mem c.down ws || pending c.s2c > 0) then
-                    pump_out t c c.s2c c.down
-                end)
-              t.conns;
-            (* a direction that drained after its source EOF closes the
-               whole connection (request/response traffic does not use
-               half-close) *)
-            List.iter
-              (fun c ->
-                if
-                  (not c.dead)
-                  && ((c.c2s.src_eof && pending c.c2s = 0)
-                     || (c.s2c.src_eof && pending c.s2c = 0))
-                then close_conn t c)
-              t.conns
-          end
-    end
-  done;
-  List.iter (fun c -> close_conn t c) t.conns;
-  t.alive <- false
+let rec loop t =
+  let readables =
+    List.concat_map
+      (fun c -> (if c.c2s.src_eof then [] else [ c.down ]) @ if c.s2c.src_eof then [] else [ c.up ])
+      t.conns
+  in
+  let writables =
+    List.concat_map
+      (fun c ->
+        (if pending c.c2s > 0 then [ c.up ] else []) @ if pending c.s2c > 0 then [ c.down ] else [])
+      t.conns
+  in
+  (* a short tick so stalled directions resume without new IO *)
+  match Server.Listener.select t.l ~tick:0.01 readables writables with
+  | None -> List.iter (fun c -> close_conn t c) t.conns
+  | Some (rs, ws) ->
+      if List.mem (Server.Listener.fd t.l) rs then accept_conn t;
+      List.iter
+        (fun c ->
+          if not c.dead then begin
+            if List.mem c.down rs then pump_in t c c.c2s c.down;
+            if (not c.dead) && List.mem c.up rs then pump_in t c c.s2c c.up
+          end)
+        t.conns;
+      List.iter
+        (fun c ->
+          if not c.dead then begin
+            if List.mem c.up ws || pending c.c2s > 0 then pump_out t c c.c2s c.up;
+            if (not c.dead) && (List.mem c.down ws || pending c.s2c > 0) then
+              pump_out t c c.s2c c.down
+          end)
+        t.conns;
+      (* a direction that drained after its source EOF closes the whole
+         connection (request/response traffic does not use half-close) *)
+      List.iter
+        (fun c ->
+          if
+            (not c.dead)
+            && ((c.c2s.src_eof && pending c.c2s = 0) || (c.s2c.src_eof && pending c.s2c = 0))
+          then close_conn t c)
+        t.conns;
+      loop t
 
 let stats_json t =
   Fmt.str
@@ -230,41 +189,15 @@ let stats_json t =
     t.accepted (List.length t.conns) t.splits t.stalls t.resets t.seed
 
 let start ?(max_clients = 64) ?deadline_s ~seed ~plan ~listen ~upstream () =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let sa, dom, cleanup =
-    match listen with
-    | Server.Unix_socket path ->
-        (try Unix.unlink path with Unix.Unix_error _ -> ());
-        ( Unix.ADDR_UNIX path,
-          Unix.PF_UNIX,
-          fun () -> try Unix.unlink path with Unix.Unix_error _ -> () )
-    | Server.Tcp _ ->
-        let sa, dom = resolve_addr listen in
-        (sa, dom, fun () -> ())
-  in
-  let listen_fd = Unix.socket dom Unix.SOCK_STREAM 0 in
-  (match listen with Server.Tcp _ -> Unix.setsockopt listen_fd Unix.SO_REUSEADDR true | _ -> ());
-  Unix.bind listen_fd sa;
-  Unix.listen listen_fd 64;
-  Unix.set_nonblock listen_fd;
-  let stop_r, stop_w = Unix.pipe () in
   let t =
     {
-      listen_fd;
-      bound = Unix.getsockname listen_fd;
+      l = Server.Listener.create ?deadline_s listen;
       upstream;
       plan;
       seed;
-      stop_r;
-      stop_w;
       max_clients;
-      deadline = Option.map (fun s -> Unix.gettimeofday () +. s) deadline_s;
-      cleanup;
       conns = [];
       next_cid = 1;
-      alive = true;
-      domain = None;
-      stopped = false;
       rbuf = Bytes.create 65536;
       accepted = 0;
       splits = 0;
@@ -272,23 +205,9 @@ let start ?(max_clients = 64) ?deadline_s ~seed ~plan ~listen ~upstream () =
       resets = 0;
     }
   in
-  t.domain <- Some (Domain.spawn (fun () -> loop t));
+  Server.Listener.spawn t.l (fun () -> loop t);
   t
 
-let wait t =
-  match t.domain with
-  | Some d ->
-      Domain.join d;
-      t.domain <- None
-  | None -> ()
-
-let stop t =
-  if not t.stopped then begin
-    t.stopped <- true;
-    (try ignore (Unix.write_substring t.stop_w "x" 0 1) with Unix.Unix_error _ -> ());
-    wait t;
-    List.iter
-      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-      [ t.listen_fd; t.stop_r; t.stop_w ];
-    t.cleanup ()
-  end
+let wait t = Server.Listener.wait t.l
+let request_stop t = Server.Listener.request_stop t.l
+let stop t = Server.Listener.stop t.l

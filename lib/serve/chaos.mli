@@ -55,8 +55,12 @@ val running : t -> bool
     active, splits, stalls, resets, and the seed. *)
 val stats_json : t -> string
 
-(** Block until the loop exits (deadline or {!stop}). *)
+(** Block until the loop exits (deadline, {!request_stop} or {!stop}). *)
 val wait : t -> unit
+
+(** Ask the loop to exit without waiting for it; safe to call from a
+    signal handler (see {!Server.request_stop}). *)
+val request_stop : t -> unit
 
 (** Stop the loop, close every proxied connection, release the socket. *)
 val stop : t -> unit

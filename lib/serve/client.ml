@@ -26,16 +26,7 @@ let ignore_sigpipe () =
   | _ -> ()
 
 let open_fd addr =
-  let sa, dom =
-    match addr with
-    | Server.Unix_socket path -> (Unix.ADDR_UNIX path, Unix.PF_UNIX)
-    | Server.Tcp (host, port) ->
-        let ip =
-          try Unix.inet_addr_of_string host
-          with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        in
-        (Unix.ADDR_INET (ip, port), Unix.PF_INET)
-  in
+  let sa, dom = Server.resolve addr in
   let fd = Unix.socket dom Unix.SOCK_STREAM 0 in
   (try Unix.connect fd sa
    with e ->

@@ -19,6 +19,10 @@ type t
 
 exception Client_error of Diagnostic.t
 
+(** A blocking socket connected to [addr] (no protocol state).  Raises
+    [Unix.Unix_error]. *)
+val open_fd : Server.addr -> Unix.file_descr
+
 (** Connect to a server address ([SIGPIPE] is set to ignore, so a write
     to a reset peer fails with a catchable error instead of killing the
     process).  Raises [Unix.Unix_error]. *)

@@ -3,6 +3,7 @@
 open Xpdl_core
 module Units = Xpdl_units.Units
 module Expr = Xpdl_expr.Expr
+module Strtab = Xpdl_kernel.Strtab
 
 type fsync_policy = Always | Interval of float | Never
 
@@ -37,32 +38,6 @@ let pp_op ppf = function
   | Replace_subtree (p, e) -> Fmt.pf ppf "replace %a <%d nodes>" pp_path p (Model.size e)
   | Insert_child (p, at, e) -> Fmt.pf ppf "insert %a @%d <%d nodes>" pp_path p at (Model.size e)
   | Remove_child (p, at) -> Fmt.pf ppf "remove %a @%d" pp_path p at
-
-(* ------------------------------------------------------------------ *)
-(* checksum — the 63-bit FNV-1a of the v2 codec and .xpdlidx *)
-
-let fnv_prime = 0x100000001b3
-
-let checksum_sub (s : string) pos len =
-  let h = ref 0x2545F4914F6CDD1D in
-  let n8 = len / 8 * 8 in
-  let i = ref 0 in
-  while !i < n8 do
-    (* fold bits 62-63 back into the low bits before masking to the
-       63-bit int range — otherwise the top two bits of every aligned
-       word would be invisible to the checksum (a single-bit flip
-       there, e.g. a float sign, would slip through replay) *)
-    let c64 = String.get_int64_le s (pos + !i) in
-    let c = Int64.to_int (Int64.logxor c64 (Int64.shift_right_logical c64 62)) land max_int in
-    h := (!h lxor c) * fnv_prime land max_int;
-    i := !i + 8
-  done;
-  for o = pos + n8 to pos + len - 1 do
-    h := (!h lxor Char.code (String.unsafe_get s o)) * fnv_prime land max_int
-  done;
-  !h
-
-let checksum s = checksum_sub s 0 (String.length s)
 
 (* ------------------------------------------------------------------ *)
 (* little-endian writer / reader *)
@@ -107,23 +82,6 @@ let r_f64 r =
 let r_done r = if r.pos <> String.length r.s then corrupt "%d trailing bytes" (String.length r.s - r.pos)
 
 (* ------------------------------------------------------------------ *)
-(* interner (first-appearance order, as in Ir.encode / Repo_index) *)
-
-type interner = { tbl : (string, int) Hashtbl.t; mutable rev : string list; mutable cnt : int }
-
-let interner () = { tbl = Hashtbl.create 64; rev = []; cnt = 0 }
-
-let intern it s =
-  match Hashtbl.find_opt it.tbl s with
-  | Some i -> i
-  | None ->
-      let i = it.cnt in
-      Hashtbl.add it.tbl s i;
-      it.rev <- s :: it.rev;
-      it.cnt <- i + 1;
-      i
-
-(* ------------------------------------------------------------------ *)
 (* deterministic model codec *)
 
 let dim_code : Units.dimension -> int = function
@@ -152,7 +110,7 @@ let dim_of_code = function
 let w_attr_value it b = function
   | Model.Str s ->
       w_u8 b 0;
-      w_u32 b (intern it s)
+      w_u32 b (Strtab.intern it s)
   | Model.Int v ->
       w_u8 b 1;
       w_i64 b v
@@ -166,33 +124,33 @@ let w_attr_value it b = function
       w_u8 b 4;
       w_f64 b (Units.value q);
       w_u8 b (dim_code (Units.dim q));
-      w_u32 b (intern it spelling)
+      w_u32 b (Strtab.intern it spelling)
   | Model.Expr (_, src) ->
       (* the AST is the deterministic parse of its stored source text *)
       w_u8 b 5;
-      w_u32 b (intern it src)
+      w_u32 b (Strtab.intern it src)
   | Model.Unknown -> w_u8 b 6
 
 let w_opt_str it b = function
   | None -> w_u8 b 0
   | Some s ->
       w_u8 b 1;
-      w_u32 b (intern it s)
+      w_u32 b (Strtab.intern it s)
 
 let rec w_element it b (e : Model.element) =
-  w_u32 b (intern it (Schema.tag_of_kind e.Model.kind));
+  w_u32 b (Strtab.intern it (Schema.tag_of_kind e.Model.kind));
   w_opt_str it b e.Model.name;
   w_opt_str it b e.Model.id;
   w_opt_str it b e.Model.type_ref;
   w_u32 b (List.length e.Model.extends);
-  List.iter (fun s -> w_u32 b (intern it s)) e.Model.extends;
+  List.iter (fun s -> w_u32 b (Strtab.intern it s)) e.Model.extends;
   w_u32 b (List.length e.Model.attrs);
   List.iter
     (fun (k, v) ->
-      w_u32 b (intern it k);
+      w_u32 b (Strtab.intern it k);
       w_attr_value it b v)
     e.Model.attrs;
-  w_u32 b (intern it e.Model.pos.Xpdl_xml.Dom.file);
+  w_u32 b (Strtab.intern it e.Model.pos.Xpdl_xml.Dom.file);
   w_u32 b e.Model.pos.Xpdl_xml.Dom.line;
   w_u32 b e.Model.pos.Xpdl_xml.Dom.column;
   w_u32 b (List.length e.Model.children);
@@ -202,16 +160,16 @@ let rec w_element it b (e : Model.element) =
    table is written after the body is encoded (it is discovered during
    encoding), so the body goes to a side buffer first. *)
 let encode_model (m : Model.element) : string =
-  let it = interner () in
+  let it = Strtab.create () in
   let body = Buffer.create 4096 in
   w_element it body m;
   let b = Buffer.create (Buffer.length body + 1024) in
-  w_u32 b it.cnt;
+  w_u32 b (Strtab.count it);
   List.iter
     (fun s ->
       w_u32 b (String.length s);
       Buffer.add_string b s)
-    (List.rev it.rev);
+    (Strtab.strings it);
   Buffer.add_buffer b body;
   Buffer.contents b
 
@@ -298,7 +256,7 @@ let decode_model s : (Model.element, Diagnostic.t) result =
   | exception Corrupt msg ->
       Error (Diagnostic.error ~code:"XPDL900" "model image corrupt: %s" msg)
 
-let model_fingerprint m = checksum (encode_model m)
+let model_fingerprint m = Xpdl_kernel.checksum (encode_model m)
 
 (* ------------------------------------------------------------------ *)
 (* op codec *)
@@ -343,11 +301,11 @@ let encode_record ~rev op =
       w_u8 b 1;
       w_ipath b p;
       w_plain_str b k;
-      let it = interner () in
+      let it = Strtab.create () in
       let vb = Buffer.create 32 in
       w_attr_value it vb v;
-      w_u32 b it.cnt;
-      List.iter (fun s -> w_plain_str b s) (List.rev it.rev);
+      w_u32 b (Strtab.count it);
+      List.iter (fun s -> w_plain_str b s) (Strtab.strings it);
       Buffer.add_buffer b vb
   | Remove_attr (p, k) ->
       w_u8 b 2;
@@ -416,33 +374,6 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* tmp + write + fsync + rename + best-effort directory fsync: the
-   rename is only durable once the directory entry itself is synced, and
-   the data must hit the disk before the rename publishes it. *)
-let atomic_write ~path data =
-  let tmp = path ^ ".tmp" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o644 in
-  (try
-     let n = String.length data in
-     let off = ref 0 in
-     while !off < n do
-       off := !off + Unix.write_substring fd data !off (n - !off)
-     done;
-     Unix.fsync fd;
-     Unix.close fd
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Unix.rename tmp path;
-  (* directory fsync is best-effort: not every filesystem lets you open
-     a directory for reading, and the rename is already atomic *)
-  match Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY; O_CLOEXEC ] 0 with
-  | dfd ->
-      (try Unix.fsync dfd with Unix.Unix_error _ -> ());
-      (try Unix.close dfd with Unix.Unix_error _ -> ())
-  | exception Unix.Unix_error _ -> ()
-
 (* ------------------------------------------------------------------ *)
 (* checkpoints *)
 
@@ -455,9 +386,9 @@ let write_checkpoint ~dir ~rev m =
     Buffer.add_string b checkpoint_magic;
     w_i64 b rev;
     w_u32 b (String.length payload);
-    w_i64 b (checksum payload);
+    w_i64 b (Xpdl_kernel.checksum payload);
     Buffer.add_string b payload;
-    atomic_write ~path:(checkpoint_path dir) (Buffer.contents b)
+    Xpdl_kernel.write ~path:(checkpoint_path dir) (Buffer.contents b)
   with
   | () -> Ok ()
   | exception Unix.Unix_error (e, _, p) ->
@@ -478,7 +409,7 @@ let load_checkpoint ~dir =
       let len = r_u32 r in
       let ck = r_i64 r in
       r_need r len;
-      if checksum_sub s r.pos len <> ck then corrupt "checkpoint checksum mismatch";
+      if Xpdl_kernel.checksum_sub s r.pos len <> ck then corrupt "checkpoint checksum mismatch";
       let payload = String.sub s r.pos len in
       r.pos <- r.pos + len;
       r_done r;
@@ -538,7 +469,7 @@ let replay ~dir =
                 diags := torn at "record body cut short (%d of %d bytes)" (total - at - 12) len;
                 stop := true
               end
-              else if checksum_sub s (at + 12) len <> ck then begin
+              else if Xpdl_kernel.checksum_sub s (at + 12) len <> ck then begin
                 diags := torn at "record checksum mismatch";
                 stop := true
               end
@@ -607,7 +538,7 @@ let append t ~rev op =
     let payload = encode_record ~rev op in
     let b = Buffer.create (String.length payload + 12) in
     w_u32 b (String.length payload);
-    w_i64 b (checksum payload);
+    w_i64 b (Xpdl_kernel.checksum payload);
     Buffer.add_string b payload;
     write_all t.fd (Buffer.contents b);
     t.dirty <- true;

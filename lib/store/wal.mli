@@ -5,9 +5,9 @@
     {ul
     {- [checkpoint.xck] — an atomic snapshot: magic, the checkpointed
        revision, and a deterministic intern-coded image of the whole
-       {!Xpdl_core.Model.element} tree, protected by a 63-bit FNV-1a
-       checksum (the same checksum/intern discipline as the v2 runtime
-       codec and the [.xpdlidx] repository sidecar).  Written via
+       {!Xpdl_core.Model.element} tree, protected by
+       {!Xpdl_kernel.checksum} (the checksum and string table of the v2
+       runtime codec and the [.xpdlidx] repository sidecar).  Written via
        tmp + fsync + rename, so a crash leaves either the old or the
        new checkpoint, never a torn one.}
     {- [wal.log] — the write-ahead journal: one self-delimiting record
@@ -61,7 +61,7 @@ val encode_model : Model.element -> string
 
 val decode_model : string -> (Model.element, Diagnostic.t) result
 
-(** 63-bit FNV-1a fingerprint of {!encode_model} (printable with
+(** {!Xpdl_kernel.checksum} of {!encode_model} (printable with
     ["%016x"]); equal fingerprints on recovered vs. oracle heads is the
     drill's bit-identity probe. *)
 val model_fingerprint : Model.element -> int

@@ -9,7 +9,7 @@
     14  u64 x 9: node count n, attr count a, kind count nk,
                  key count nkey, string count nstr,
                  kind/key/string blob lengths, total length
-    86  u64 payload checksum (FNV-1a-style, 63-bit)
+    86  u64 payload checksum (Xpdl_kernel.checksum_sub of bytes 94..)
     94  kind table    (nk+1)  x u32 offsets, then blob
         key table     (nkey+1) x u32 offsets, then blob
         string table  (nstr+1) x u32 offsets, then blob
@@ -37,14 +37,12 @@
     it on demand and the CI codec drill exercises it.  Structural
     corruption is still caught at load; flipped bits inside attribute
     payloads surface as coded [XPDL606] diagnostics at decode time or
-    via {!verify}.
-
-    Version-1 files (length-prefixed node stream) are migrated on load:
-    decoded with the original reader — including its preorder and
-    dangling-index checks — then re-encoded as an arena. *)
+    via {!verify}.  Version 1 (the seed release's node-record stream)
+    is no longer read: it loads as [XPDL602]. *)
 
 open Xpdl_core
 open Xpdl_units
+module Strtab = Xpdl_kernel.Strtab
 
 type value =
   | VStr of string
@@ -199,7 +197,6 @@ let u32 s o = i32 s o land 0xFFFFFFFF
 
 let magic = "XPDLRT"
 let format_version = 2
-let v1_version = 1
 
 (* magic (6) + version (8) + 9 length fields (72) + checksum (8) *)
 let header_size = 94
@@ -228,26 +225,10 @@ let dim_of_code = function
   | 8 -> Units.Scalar
   | n -> corrupt "XPDL606" "bad dimension code %d" n
 
-(* A 63-bit FNV-1a variant folding eight bytes at a time; the top bit is
-   masked off so the value round-trips through the u64 header slot. *)
-let fnv_prime = 0x100000001b3
-
-let checksum_sub (s : string) pos len =
-  let h = ref 0x2545F4914F6CDD1D in
-  let words = len / 8 in
-  for w = 0 to words - 1 do
-    let c = Int64.to_int (String.get_int64_le s (pos + (8 * w))) in
-    h := (!h lxor c) * fnv_prime land max_int
-  done;
-  for o = pos + (8 * words) to pos + len - 1 do
-    h := (!h lxor Char.code (String.unsafe_get s o)) * fnv_prime land max_int
-  done;
-  !h
-
 (** {1 Encoder}
 
-    All construction paths — {!of_model}, v1 migration, re-encoding a
-    patched arena — funnel through one encoder over a neutral node
+    All construction paths — {!of_model} and re-encoding a patched
+    arena — funnel through one encoder over a neutral node
     description, so there is exactly one writer of the v2 layout.
     Tables are interned in first-appearance order (deterministic given
     the input, independent of the process-global {!Keys} pool), and
@@ -262,49 +243,29 @@ type enc_node = {
   eend : int;  (** exclusive preorder span end; parents are derived *)
 }
 
-type interner = {
-  it_tbl : (string, int) Hashtbl.t;
-  mutable it_rev : string list;
-  mutable it_cnt : int;
-  mutable it_blob : int;
-}
-
-let interner () = { it_tbl = Hashtbl.create 64; it_rev = []; it_cnt = 0; it_blob = 0 }
-
-let intern_in it s =
-  match Hashtbl.find_opt it.it_tbl s with
-  | Some i -> i
-  | None ->
-      let i = it.it_cnt in
-      Hashtbl.add it.it_tbl s i;
-      it.it_rev <- s :: it.it_rev;
-      it.it_cnt <- i + 1;
-      it.it_blob <- it.it_blob + String.length s;
-      i
-
 let w32 b o v = Bytes.set_int32_le b o (Int32.of_int v)
 let w64 b o v = Bytes.set_int64_le b o (Int64.of_int v)
 
 let encode (nodes : enc_node array) : string =
   let n = Array.length nodes in
   if n = 0 then invalid_arg "Ir.encode: empty model";
-  let kinds = interner () and keys = interner () and strs = interner () in
+  let kinds = Strtab.create () and keys = Strtab.create () and strs = Strtab.create () in
   let total_attrs = ref 0 in
   let prep =
     Array.map
       (fun nd ->
-        let k = intern_in kinds nd.ek in
-        let sid = function None -> -1 | Some s -> intern_in strs s in
+        let k = Strtab.intern kinds nd.ek in
+        let sid = function None -> -1 | Some s -> Strtab.intern strs s in
         let id = sid nd.eid in
         let ty = sid nd.ety in
         let attrs =
           Array.of_list
             (List.map
                (fun (name, v) ->
-                 let lk = intern_in keys name in
+                 let lk = Strtab.intern keys name in
                  let tag, payload =
                    match v with
-                   | VStr s -> (0, Int64.of_int (intern_in strs s))
+                   | VStr s -> (0, Int64.of_int (Strtab.intern strs s))
                    | VInt i -> (1, Int64.of_int i)
                    | VFloat f -> (2, Int64.bits_of_float f)
                    | VBool false -> (3, 0L)
@@ -321,16 +282,16 @@ let encode (nodes : enc_node array) : string =
       nodes
   in
   let a = !total_attrs in
-  let nk = kinds.it_cnt and nkey = keys.it_cnt and nstr = strs.it_cnt in
+  let nk = Strtab.count kinds and nkey = Strtab.count keys and nstr = Strtab.count strs in
   if nk > 255 then invalid_arg "Ir.encode: more than 255 element kinds";
   if nkey > 0xFFFF then invalid_arg "Ir.encode: more than 65535 attribute keys";
   let o_kind_off = header_size in
   let o_kind_blob = o_kind_off + (4 * (nk + 1)) in
-  let o_key_off = o_kind_blob + kinds.it_blob in
+  let o_key_off = o_kind_blob + Strtab.blob_length kinds in
   let o_key_blob = o_key_off + (4 * (nkey + 1)) in
-  let o_str_off = o_key_blob + keys.it_blob in
+  let o_str_off = o_key_blob + Strtab.blob_length keys in
   let o_str_blob = o_str_off + (4 * (nstr + 1)) in
-  let o_kind = o_str_blob + strs.it_blob in
+  let o_kind = o_str_blob + Strtab.blob_length strs in
   let o_end = o_kind + n in
   let o_ident = o_end + (4 * n) in
   let o_type = o_ident + (4 * n) in
@@ -347,25 +308,14 @@ let encode (nodes : enc_node array) : string =
   w64 b 30 nk;
   w64 b 38 nkey;
   w64 b 46 nstr;
-  w64 b 54 kinds.it_blob;
-  w64 b 62 keys.it_blob;
-  w64 b 70 strs.it_blob;
+  w64 b 54 (Strtab.blob_length kinds);
+  w64 b 62 (Strtab.blob_length keys);
+  w64 b 70 (Strtab.blob_length strs);
   w64 b 78 total;
   w64 b checksum_off 0;
-  let write_table it o_off o_blob =
-    let items = Array.of_list (List.rev it.it_rev) in
-    let off = ref 0 in
-    Array.iteri
-      (fun i s ->
-        w32 b (o_off + (4 * i)) !off;
-        Bytes.blit_string s 0 b (o_blob + !off) (String.length s);
-        off := !off + String.length s)
-      items;
-    w32 b (o_off + (4 * Array.length items)) !off
-  in
-  write_table kinds o_kind_off o_kind_blob;
-  write_table keys o_key_off o_key_blob;
-  write_table strs o_str_off o_str_blob;
+  Strtab.write kinds b ~offsets:o_kind_off ~blob:o_kind_blob;
+  Strtab.write keys b ~offsets:o_key_off ~blob:o_key_blob;
+  Strtab.write strs b ~offsets:o_str_off ~blob:o_str_blob;
   let ai = ref 0 in
   Array.iteri
     (fun i (k, id, ty, attrs) ->
@@ -384,7 +334,7 @@ let encode (nodes : enc_node array) : string =
         attrs)
     prep;
   w32 b (o_attr_off + (4 * n)) !ai;
-  let sum = checksum_sub (Bytes.unsafe_to_string b) header_size (total - header_size) in
+  let sum = Xpdl_kernel.checksum_sub (Bytes.unsafe_to_string b) header_size (total - header_size) in
   Bytes.set_int64_le b checksum_off (Int64.of_int sum);
   Bytes.unsafe_to_string b
 
@@ -866,122 +816,6 @@ let of_model (root_el : Model.element) : t =
   (* run the encoded image through the one validated load path *)
   of_bytes_v2 (encode enc)
 
-(** {1 Version-1 migration reader}
-
-    The seed release's codec: length-prefixed strings, fixed 64-bit
-    ints, explicit child arrays, derived spans.  Retained read-only —
-    a v1 file is decoded with all of the original structural checks,
-    then re-encoded as an arena. *)
-
-type reader = { src : string; mutable off : int }
-
-let need r n =
-  if r.off + n > String.length r.src then corrupt "XPDL603" "truncated runtime model file"
-
-let get_int r =
-  need r 8;
-  let v = Int64.to_int (String.get_int64_le r.src r.off) in
-  r.off <- r.off + 8;
-  v
-
-let get_float r =
-  need r 8;
-  let v = Int64.float_of_bits (String.get_int64_le r.src r.off) in
-  r.off <- r.off + 8;
-  v
-
-let get_string r =
-  let n = get_int r in
-  if n < 0 || n > String.length r.src - r.off then corrupt "XPDL603" "bad string length";
-  let s = String.sub r.src r.off n in
-  r.off <- r.off + n;
-  s
-
-let get_opt_string r =
-  need r 8;
-  let n = Int64.to_int (String.get_int64_le r.src r.off) in
-  if n = -1 then begin
-    r.off <- r.off + 8;
-    None
-  end
-  else Some (get_string r)
-
-let get_value r =
-  need r 1;
-  let tag = r.src.[r.off] in
-  r.off <- r.off + 1;
-  match tag with
-  | 'S' -> VStr (get_string r)
-  | 'I' -> VInt (get_int r)
-  | 'F' -> VFloat (get_float r)
-  | 'T' -> VBool true
-  | 'f' -> VBool false
-  | 'Q' ->
-      let v = get_float r in
-      VQty (v, dim_of_code (get_int r))
-  | '?' -> VUnknown
-  | c -> corrupt "XPDL606" "bad value tag %C" c
-
-(* Subtree spans are not on the v1 wire: recompute them from the child
-   arrays, verifying on the way that the stored node order really is the
-   preorder of the tree (true of every file the toolchain has ever
-   written; anything else is structurally corrupt). *)
-let derive_spans ~count ~root_idx children =
-  let ends = Array.make count (-1) in
-  let next = ref 0 in
-  let rec go i =
-    if i <> !next then corrupt "XPDL605" "node order is not the preorder of the tree";
-    incr next;
-    Array.iter go children.(i);
-    ends.(i) <- !next
-  in
-  if root_idx <> 0 then corrupt "XPDL605" "root is not the first node";
-  go root_idx;
-  if !next <> count then corrupt "XPDL605" "unreachable nodes in model tree";
-  ends
-
-let of_bytes_v1 (s : string) : t =
-  let r = { src = s; off = String.length magic + 8 } in
-  let count = get_int r in
-  if count < 1 then corrupt "XPDL605" "bad node count %d" count;
-  let root_idx = get_int r in
-  if root_idx < 0 || root_idx >= count then corrupt "XPDL605" "bad root index %d" root_idx;
-  let raw =
-    Array.init count (fun _ ->
-        let tag = get_string r in
-        let ident = get_opt_string r in
-        let ty = get_opt_string r in
-        let _stored_path = get_string r in
-        let parent = get_int r in
-        let n_kids = get_int r in
-        if n_kids < 0 || n_kids > count then corrupt "XPDL605" "bad child count %d" n_kids;
-        let children = Array.init n_kids (fun _ -> get_int r) in
-        let n_attrs = get_int r in
-        if n_attrs < 0 then corrupt "XPDL605" "bad attribute count %d" n_attrs;
-        let attrs = ref [] in
-        for _ = 1 to n_attrs do
-          let k = get_string r in
-          let v = get_value r in
-          attrs := (k, v) :: !attrs
-        done;
-        (tag, ident, ty, parent, children, List.rev !attrs))
-  in
-  Array.iter
-    (fun (_, _, _, parent, children, _) ->
-      if parent >= count || parent < -1 then corrupt "XPDL605" "dangling parent index";
-      Array.iter
-        (fun c -> if c < 0 || c >= count then corrupt "XPDL605" "dangling child index")
-        children)
-    raw;
-  let ends = derive_spans ~count ~root_idx (Array.map (fun (_, _, _, _, c, _) -> c) raw) in
-  let enc =
-    Array.mapi
-      (fun i (tag, ident, ty, _parent, _children, attrs) ->
-        { ek = tag; eid = ident; ety = ty; eattrs = attrs; eend = ends.(i) })
-      raw
-  in
-  of_bytes_v2 (encode enc)
-
 (** {1 Codec entry points} *)
 
 let of_bytes (s : string) : t =
@@ -992,7 +826,6 @@ let of_bytes (s : string) : t =
     corrupt "XPDL603" "runtime model truncated before the version field";
   let v = String.get_int64_le s mlen in
   if Int64.equal v 2L then of_bytes_v2 s
-  else if Int64.equal v 1L then of_bytes_v1 s
   else corrupt "XPDL602" "unsupported runtime model format version %Ld" v
 
 let of_bytes_result s = match of_bytes s with t -> Ok t | exception Corrupt d -> Error d
@@ -1016,70 +849,12 @@ let to_bytes t = if Hashtbl.length t.patched = 0 then t.buf else encode (enc_of_
 let verify t =
   let bytes = to_bytes t in
   let stored = Int64.to_int (String.get_int64_le bytes checksum_off) in
-  let got = checksum_sub bytes header_size (String.length bytes - header_size) in
+  let got = Xpdl_kernel.checksum_sub bytes header_size (String.length bytes - header_size) in
   if got = stored then Ok ()
   else
     Error
       (Diagnostic.error ~code:"XPDL604"
          "runtime model checksum mismatch: stored %016x, computed %016x" stored got)
-
-(** {1 Legacy version-1 writer}
-
-    Byte-compatible with the seed release's [to_bytes]; kept so the
-    migration path stays testable (and benchable) without checked-in v1
-    artifacts for every model.  New files are always written as v2. *)
-
-let put_int buf i = Buffer.add_int64_le buf (Int64.of_int i)
-let put_float buf f = Buffer.add_int64_le buf (Int64.bits_of_float f)
-
-let put_string buf s =
-  put_int buf (String.length s);
-  Buffer.add_string buf s
-
-let put_opt_string buf = function
-  | None -> put_int buf (-1)
-  | Some s -> put_string buf s
-
-let put_value buf = function
-  | VStr s ->
-      Buffer.add_char buf 'S';
-      put_string buf s
-  | VInt i ->
-      Buffer.add_char buf 'I';
-      put_int buf i
-  | VFloat f ->
-      Buffer.add_char buf 'F';
-      put_float buf f
-  | VBool b -> Buffer.add_char buf (if b then 'T' else 'f')
-  | VQty (v, d) ->
-      Buffer.add_char buf 'Q';
-      put_float buf v;
-      put_int buf (dim_code d)
-  | VUnknown -> Buffer.add_char buf '?'
-
-let to_bytes_v1 t : string =
-  let buf = Buffer.create (t.n * 64) in
-  Buffer.add_string buf magic;
-  put_int buf v1_version;
-  put_int buf t.n;
-  put_int buf 0;
-  for i = 0 to t.n - 1 do
-    let nd = node t i in
-    put_string buf (Schema.tag_of_kind nd.n_kind);
-    put_opt_string buf nd.n_ident;
-    put_opt_string buf nd.n_type;
-    put_string buf nd.n_path;
-    put_int buf nd.n_parent;
-    put_int buf (Array.length nd.n_children);
-    Array.iter (put_int buf) nd.n_children;
-    put_int buf (Array.length nd.n_attrs);
-    Array.iter
-      (fun (k, v) ->
-        put_string buf (Keys.name k);
-        put_value buf v)
-      nd.n_attrs
-  done;
-  Buffer.contents buf
 
 (** Write the runtime model file consumed by [xpdl_init]. *)
 let to_file path t =

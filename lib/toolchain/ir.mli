@@ -19,11 +19,10 @@
     [i+1] (if inside the span) and the next sibling of [j] is
     [subtree_end j].
 
-    Version-1 files (the seed release's length-prefixed node stream)
-    still load through a one-time migration path that decodes the old
-    stream and re-encodes it as an arena.  Corrupt or truncated input
-    of either version raises {!Corrupt} carrying a coded [XPDL6xx]
-    diagnostic (or use {!of_bytes_result}/{!of_file_result}). *)
+    Any other version, the seed release's version-1 node stream
+    included, is rejected as unsupported.  Corrupt or truncated input
+    raises {!Corrupt} carrying a coded [XPDL6xx] diagnostic (or use
+    {!of_bytes_result}/{!of_file_result}). *)
 
 open Xpdl_core
 
@@ -167,7 +166,10 @@ val fold_subtree : t -> ('a -> node -> 'a) -> 'a -> node -> 'a
 
 (** {1 Binary codec}
 
-    Version 2: the file {e is} the arena — a checksummed header,
+    Version 2: the file {e is} the arena — a header checksummed with
+    {!Xpdl_kernel.checksum_sub} (every single-bit flip of the payload
+    changes it; images written before that checksum fail {!verify}
+    until re-processed),
     interned kind/key/string tables, then little-endian column arrays.
     {!of_bytes} validates the header arithmetic, the preorder span
     structure and the table offsets in one O(n) pass and wraps the
@@ -190,8 +192,7 @@ exception Corrupt of Diagnostic.t
 val to_bytes : t -> string
 
 (** Deserialize; raises {!Corrupt} on malformed input.  Version-2
-    buffers are validated and wrapped without rebuilding; version-1
-    files are migrated (decoded and re-encoded) transparently. *)
+    buffers are validated and wrapped without rebuilding. *)
 val of_bytes : string -> t
 
 (** Exception-free variants of {!of_bytes}/{!of_file} returning the
@@ -204,11 +205,6 @@ val of_file_result : string -> (t, Diagnostic.t) result
     ([Error] carries an [XPDL604] diagnostic).  O(file size); load
     keeps this off the init path so callers choose when to pay it. *)
 val verify : t -> (unit, Diagnostic.t) result
-
-(** Serialize in the legacy version-1 node-stream format (the seed
-    release's codec).  Kept for migration round-trip tests and the
-    before/after arm of experiment E15; new files are always v2. *)
-val to_bytes_v1 : t -> string
 
 val to_file : string -> t -> unit
 val of_file : string -> t

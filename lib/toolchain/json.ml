@@ -9,33 +9,19 @@
 
 open Xpdl_core
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Fmt.kstr (Buffer.add_string buf) "\\u%04x" (Char.code c)
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let string_field buf key v = Fmt.kstr (Buffer.add_string buf) "%S: \"%s\"" key (escape v)
+let string_field buf key v =
+  Fmt.kstr (Buffer.add_string buf) "%S: %s" key (Xpdl_kernel.json_string v)
 
 let add_value buf (v : Model.attr_value) =
   match v with
-  | Model.Str s -> Fmt.kstr (Buffer.add_string buf) "\"%s\"" (escape s)
+  | Model.Str s -> Buffer.add_string buf (Xpdl_kernel.json_string s)
   | Model.Int i -> Buffer.add_string buf (string_of_int i)
   | Model.Float f -> Fmt.kstr (Buffer.add_string buf) "%g" f
   | Model.Bool b -> Buffer.add_string buf (string_of_bool b)
   | Model.Quantity (q, _) ->
-      Fmt.kstr (Buffer.add_string buf) {|{"value": %g, "unit": "%s"}|}
+      Fmt.kstr (Buffer.add_string buf) {|{"value": %g, "unit": %s}|}
         (Xpdl_units.Units.value q)
-        (escape
+        (Xpdl_kernel.json_string
            (match Xpdl_units.Units.dim q with
            | Xpdl_units.Units.Size -> "B"
            | Xpdl_units.Units.Frequency -> "Hz"
@@ -46,7 +32,7 @@ let add_value buf (v : Model.attr_value) =
            | Xpdl_units.Units.Voltage -> "V"
            | Xpdl_units.Units.Temperature -> "K"
            | Xpdl_units.Units.Scalar -> ""))
-  | Model.Expr (_, src) -> Fmt.kstr (Buffer.add_string buf) "\"%s\"" (escape src)
+  | Model.Expr (_, src) -> Buffer.add_string buf (Xpdl_kernel.json_string src)
   | Model.Unknown -> Buffer.add_string buf "null"
 
 let rec add_element buf ~indent depth (e : Model.element) =
@@ -141,9 +127,13 @@ let check (s : string) : unit =
       else
         match s.[!pos] with
         | '"' -> incr pos
-        | '\\' ->
-            pos := !pos + 2;
-            loop ()
+        | '\\' -> (
+            match if !pos + 1 < n then s.[!pos + 1] else ' ' with
+            | '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' | 'u' ->
+                pos := !pos + 2;
+                loop ()
+            | _ -> fail "bad escape")
+        | c when Char.code c < 0x20 -> fail "unescaped control character"
         | _ ->
             incr pos;
             loop ()

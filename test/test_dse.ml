@@ -249,6 +249,41 @@ let test_report_json_shape () =
       if not (contains needle) then Alcotest.failf "report JSON lacks %s" needle)
     [ {|"axes":|}; {|"front":|}; {|"sensitivity":|}; {|"errors":0|}; {|"pruned":6|} ]
 
+(* names reach the reports verbatim from --axis specs and exception
+   messages; every byte must come out as valid JSON *)
+let test_reports_escape_names () =
+  let weird = "a\\b\nc\001\"d\\" in
+  let r = run_quick (load_template ()) in
+  let r =
+    {
+      r with
+      Dse.rp_axes = List.map (fun ax -> { ax with Dse.ax_name = weird }) r.Dse.rp_axes;
+      rp_sensitivity = List.map (fun x -> { x with Dse.sx_axis = weird }) r.rp_sensitivity;
+      rp_points =
+        Array.map (fun p -> { p with Dse.pt_bindings = [ (weird, 1.) ]; pt_variant = Some weird })
+          r.rp_points;
+    }
+  in
+  let module R = Xpdl_microbench.Resilient in
+  let attempt f =
+    { R.at_n = 1; at_failure = Some f; at_samples = 0; at_rejected = 0; at_elapsed = 0.;
+      at_backoff = 0. }
+  in
+  let bench =
+    { R.b_instruction = weird; b_benchmark = weird; b_quality = R.Unresolved; b_energy = None;
+      b_attempts = [ attempt (R.Errored weird); attempt (R.Offline weird) ]; b_stats = None;
+      b_sweep = []; b_quarantined = true }
+  in
+  let h =
+    { R.h_benches = [ bench ]; h_links = [ bench ]; h_elapsed = 1.; h_budget = 2.; h_diags = [];
+      h_budget_exhausted = false; h_aborted = false; h_fault_reads = 0; h_fault_events = 0 }
+  in
+  List.iter
+    (fun json ->
+      try Xpdl_toolchain.Json.check json
+      with Xpdl_toolchain.Json.Invalid_json m -> Alcotest.failf "invalid JSON (%s): %s" m json)
+    [ Dse.report_to_json r; R.health_to_json h ]
+
 let () =
   Alcotest.run "dse"
     [
@@ -278,5 +313,6 @@ let () =
         [
           Alcotest.test_case "front semantics" `Quick test_pareto_front;
           Alcotest.test_case "report JSON shape" `Quick test_report_json_shape;
+          Alcotest.test_case "reports escape names" `Quick test_reports_escape_names;
         ] );
     ]

@@ -205,6 +205,51 @@ let test_replay_checksum_covers_high_bits () =
       | _ -> Alcotest.failf "expected one diagnostic, got %d" (List.length diags))
 
 (* ------------------------------------------------------------------ *)
+(* .xrt and .xpdlidx checksums see the top two bits of every word *)
+
+(* every (offset, bit) of a payload word on the checksum's 8-byte grid,
+   for bits 62 and 63: byte 7 of the little-endian word, 0x40 / 0x80 *)
+let high_bit_flips image ~header =
+  List.concat_map
+    (fun k ->
+      let o = header + (8 * k) + 7 in
+      List.map
+        (fun mask ->
+          ( Fmt.str "byte %d mask %#x" o mask,
+            String.mapi (fun j c -> if j = o then Char.chr (Char.code c lxor mask) else c) image ))
+        [ 0x40; 0x80 ])
+    (List.init ((String.length image - header) / 8) Fun.id)
+
+let test_formats_checksum_high_bits () =
+  let module Ir = Xpdl_toolchain.Ir in
+  let repo = Xpdl_repo.Repo.load_bundled () in
+  let m = (Result.get_ok (Xpdl_repo.Repo.compose_by_name repo "myriad_server")).model in
+  let verified = ref 0 in
+  List.iter
+    (fun (what, image) ->
+      (* a flip the structural load pass already rejects is caught there;
+         every image that loads must fail the full checksum *)
+      match Ir.of_bytes_result image with
+      | Error _ -> ()
+      | Ok ir -> (
+          incr verified;
+          match Ir.verify ir with
+          | Error d -> Alcotest.(check string) ("xrt " ^ what) "XPDL604" d.Diagnostic.code
+          | Ok () -> Alcotest.failf "xrt %s passes verify" what))
+    (high_bit_flips (Ir.to_bytes (Ir.of_model m)) ~header:94);
+  Alcotest.(check bool) "flipped images reach verify" true (!verified > 100);
+  with_temp_dir "xpdl-idx-bits" (fun root ->
+      write_file (Filename.concat root "cpu.xpdl") {|<cpu name="X"><core name="c"/></cpu>|};
+      write_file (Filename.concat root "bad.xpdl") "<cpu name=\"B\"";
+      Xpdl_repo.Repo.open_root (Xpdl_repo.Repo.create ()) root;
+      List.iter
+        (fun (what, image) ->
+          match Repo_index.decode image with
+          | Error d -> Alcotest.(check string) ("xpdlidx " ^ what) "XPDL311" d.Diagnostic.code
+          | Ok _ -> Alcotest.failf "xpdlidx %s decodes" what)
+        (high_bit_flips (read_file (Repo_index.path_for_root root)) ~header:70))
+
+(* ------------------------------------------------------------------ *)
 (* store recovery *)
 
 let test_store_recover () =
@@ -341,4 +386,5 @@ let () =
           case "torn tail recovery" test_store_recover_torn_tail;
         ] );
       ("repo-index", [ case "fsynced atomic save" test_repo_index_save_durable ]);
+      ("formats", [ case "checksums cover word high bits" test_formats_checksum_high_bits ]);
     ]

@@ -111,6 +111,7 @@ let test_error_fixtures () =
     [
       ("bad_magic", "XPDL601");
       ("bad_version", "XPDL602");
+      ("version_1", "XPDL602");
       ("truncated", "XPDL603");
       ("length_overflow", "XPDL607");
       ("garbage_header", "XPDL605");
@@ -199,30 +200,6 @@ let test_freeze_isolation () =
       Ir.patch_attrs frozen gpu [ ("vendor", Xpdl_core.Model.Str "frozen-side") ];
       Alcotest.(check string) (what "origin unaffected") "after" (vendor ir gpu))
     [ false; true ]
-
-(* v1 → v2 migration: the legacy writer's output must load into an arena
-   semantically identical to the original *)
-let test_v1_migration_roundtrip () =
-  List.iter
-    (fun name ->
-      let ir = Ir.of_model (model name) in
-      let migrated = Ir.of_bytes (Ir.to_bytes_v1 ir) in
-      Alcotest.(check int) (name ^ " size") (Ir.size ir) (Ir.size migrated);
-      for i = 0 to Ir.size ir - 1 do
-        let a = Ir.node ir i and b = Ir.node migrated i in
-        if
-          not
-            (a.Ir.n_ident = b.Ir.n_ident && a.Ir.n_kind = b.Ir.n_kind
-           && a.Ir.n_path = b.Ir.n_path && a.Ir.n_parent = b.Ir.n_parent
-           && a.Ir.n_children = b.Ir.n_children && a.Ir.n_attrs = b.Ir.n_attrs
-           && a.Ir.n_subtree_end = b.Ir.n_subtree_end)
-        then Alcotest.failf "%s: migrated node %d differs" name i
-      done;
-      (* and the migrated arena re-saves as a well-formed v2 image *)
-      match Ir.verify migrated with
-      | Ok () -> ()
-      | Error d -> Alcotest.failf "%s: migrated checksum: %s" name d.Xpdl_core.Diagnostic.message)
-    [ "myriad_server"; "liu_gpu_server" ]
 
 let prop_codec_roundtrip =
   (* random small models through the codec *)
@@ -325,83 +302,6 @@ let test_codec_rebuilds_spans () =
       Alcotest.failf "span of node %d not rebuilt identically after the codec" i
   done;
   check_spans_against_naive "reloaded" ir2
-
-(* a format-v1 file written by the seed release, before spans and key
-   interning existed: loading must still work, with everything derived *)
-let test_v1_fixture () =
-  let ir = Ir.of_file "fixtures/myriad_server_v1.xrt" in
-  Alcotest.(check int) "node count" 178 (Ir.size ir);
-  Alcotest.(check bool) "board findable" true (Ir.find_by_ident ir "mv153board" <> None);
-  check_spans_against_naive "fixture" ir;
-  let fresh = Ir.of_model (model "myriad_server") in
-  Alcotest.(check int) "same size" (Ir.size fresh) (Ir.size ir);
-  for i = 0 to Ir.size ir - 1 do
-    let a = Ir.node ir i and b = Ir.node fresh i in
-    if
-      not
-        (a.Ir.n_ident = b.Ir.n_ident && a.Ir.n_kind = b.Ir.n_kind && a.Ir.n_path = b.Ir.n_path
-       && a.Ir.n_parent = b.Ir.n_parent && a.Ir.n_children = b.Ir.n_children
-       && a.Ir.n_attrs = b.Ir.n_attrs && a.Ir.n_subtree_end = b.Ir.n_subtree_end)
-    then Alcotest.failf "fixture node %d differs from a fresh build" i
-  done
-
-(* hand-written v1 byte streams with structurally broken trees *)
-let put_int buf i = Buffer.add_int64_le buf (Int64.of_int i)
-
-let put_str buf s =
-  put_int buf (String.length s);
-  Buffer.add_string buf s
-
-let raw_v1 ~count ~root nodes =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "XPDLRT";
-  put_int buf 1;
-  put_int buf count;
-  put_int buf root;
-  List.iter
-    (fun (tag, path, parent, children) ->
-      put_str buf tag;
-      put_int buf (-1) (* no ident *);
-      put_int buf (-1) (* no type *);
-      put_str buf path;
-      put_int buf parent;
-      put_int buf (List.length children);
-      List.iter (put_int buf) children;
-      put_int buf 0 (* no attrs *))
-    nodes;
-  Buffer.contents buf
-
-let test_rejects_broken_trees () =
-  (* node 1 unreachable from the root *)
-  let orphan = raw_v1 ~count:2 ~root:0 [ ("cpu", "a", -1, []); ("core", "a/b", 0, []) ] in
-  (match Ir.of_bytes orphan with
-  | exception Ir.Corrupt _ -> ()
-  | _ -> Alcotest.fail "unreachable node must be rejected");
-  (* children out of document order *)
-  let swapped =
-    raw_v1 ~count:3 ~root:0
-      [ ("cpu", "a", -1, [ 2; 1 ]); ("core", "a/b", 0, []); ("core", "a/c", 0, []) ]
-  in
-  (match Ir.of_bytes swapped with
-  | exception Ir.Corrupt _ -> ()
-  | _ -> Alcotest.fail "non-preorder children must be rejected");
-  (* self-cycle *)
-  let cyclic = raw_v1 ~count:1 ~root:0 [ ("cpu", "a", -1, [ 0 ]) ] in
-  (match Ir.of_bytes cyclic with
-  | exception Ir.Corrupt _ -> ()
-  | _ -> Alcotest.fail "cyclic child link must be rejected");
-  (* root not the first node *)
-  let late_root = raw_v1 ~count:2 ~root:1 [ ("core", "a/b", 1, []); ("cpu", "a", -1, [ 0 ]) ] in
-  (match Ir.of_bytes late_root with
-  | exception Ir.Corrupt _ -> ()
-  | _ -> Alcotest.fail "non-leading root must be rejected");
-  (* a well-formed hand-written stream still loads *)
-  let ok =
-    raw_v1 ~count:3 ~root:0
-      [ ("cpu", "a", -1, [ 1; 2 ]); ("core", "a/b", 0, []); ("core", "a/c", 0, []) ]
-  in
-  let ir = Ir.of_bytes ok in
-  Alcotest.(check int) "root span" 3 (Ir.root ir).Ir.n_subtree_end
 
 let prop_spans_random_models =
   let gen =
@@ -656,7 +556,6 @@ let () =
           case "checksum verify" test_verify_clean;
           case "double-save byte identity" test_double_save_identity;
           case "freeze isolation" test_freeze_isolation;
-          case "v1 migration round-trip" test_v1_migration_roundtrip;
           QCheck_alcotest.to_alcotest prop_codec_roundtrip;
         ] );
       ( "spans",
@@ -665,8 +564,6 @@ let () =
           case "path index = linear scan" test_path_index_bundled;
           case "interned attribute lookup" test_interned_attrs;
           case "codec rebuilds spans" test_codec_rebuilds_spans;
-          case "seed-era v1 fixture loads" test_v1_fixture;
-          case "broken trees rejected" test_rejects_broken_trees;
           QCheck_alcotest.to_alcotest prop_spans_random_models;
         ] );
       ( "analysis",

@@ -36,6 +36,11 @@ let () =
   let b = Bytes.of_string good in
   Bytes.set_int64_le b 6 9L;
   write dir "bad_version" (Bytes.to_string b);
+  (* XPDL602: version 1, the seed release's node-record stream, is no
+     longer read *)
+  let b = Bytes.of_string good in
+  Bytes.set_int64_le b 6 1L;
+  write dir "version_1" (Bytes.to_string b);
   (* XPDL603: sixteen bytes missing off the tail *)
   write dir "truncated" (String.sub good 0 (String.length good - 16));
   (* XPDL607: string-blob length header field pushed past the 2^31 bound *)
