@@ -1,5 +1,7 @@
-(* The XPDL benchmark harness: regenerates every experiment of the
-   per-experiment index in DESIGN.md (E1–E10).
+(* The XPDL benchmark harness: regenerates experiments E1–E15 of
+   EXPERIMENTS.md.  Serving, DSE, repository-fleet and WAL performance
+   is measured end to end by the repository benchmark in benchmark/
+   (BENCHMARK.json), not here.
 
    The paper (a language-design paper) has no numbered result tables; the
    quantities worth measuring are the toolchain stages it describes, the
@@ -26,9 +28,8 @@ open Toolkit
 let current_exp = ref ""
 let bench_rows : (string * string * float * string) list ref = ref []
 
-let record ?experiment ~metric ~value ~unit_ () =
-  let experiment = match experiment with Some e -> e | None -> !current_exp in
-  bench_rows := (experiment, metric, value, unit_) :: !bench_rows
+let record ~metric ~value ~unit_ () =
+  bench_rows := (!current_exp, metric, value, unit_) :: !bench_rows
 
 let write_json path =
   let oc = open_out path in
@@ -877,454 +878,11 @@ let e15 () =
     (t_naive /. 1e3) (t_cold /. 1e3) (t_naive /. t_cold) (t_memo /. 1e3) (t_naive /. t_memo)
 
 (* ------------------------------------------------------------------ *)
-(* E16: concurrent model-query server — MVCC snapshots under load *)
-
-(* A live server over a unix socket, driven by the load generator: 1-
-   and 4-client closed loops (saturated service latency + scaling), an
-   open loop at a fixed schedule (latency with queueing charged to the
-   server), and the MVCC acceptance probe — a pinned snapshot re-read
-   bit-identically after a writer advances 1000 revisions across
-   several journal compactions. *)
-let e16 () =
-  header "E16: concurrent model-query serving (MVCC snapshots under load)";
-  let module Hub = Xpdl_serve.Hub in
-  let module Server = Xpdl_serve.Server in
-  let module Loadgen = Xpdl_serve.Loadgen in
-  let module Client = Xpdl_serve.Client in
-  let module P = Xpdl_serve.Protocol in
-  let module M = Xpdl_core.Model in
-  let hub = Hub.create ~journal_capacity:256 (composed "liu_gpu_server") in
-  let sock = Filename.temp_file "xpdl_e16" ".sock" in
-  Sys.remove sock;
-  let addr = Server.Unix_socket sock in
-  let srv = Server.start ~deadline_s:600. addr hub in
-  Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
-  let core_path =
-    List.hd
-      (Store.find_paths (Hub.store hub) (fun e -> e.M.kind = Xpdl_core.Schema.Core))
-  in
-  let mix =
-    {
-      Loadgen.default_mix with
-      edits =
-        [| { Loadgen.et_path = core_path; et_key = "static_power"; et_values = [| "1"; "2"; "5"; "11" |] } |];
-    }
-  in
-  Fmt.pr "  model: %d elements; socket %s@." (Store.size (Hub.store hub)) sock;
-  let duration_s = Float.max 0.3 quota_s in
-  let arm name cfg =
-    let r = Loadgen.run addr cfg in
-    record ~metric:(Fmt.str "serve/%s/p50" name) ~value:r.Loadgen.p50_us ~unit_:"us" ();
-    record ~metric:(Fmt.str "serve/%s/p95" name) ~value:r.Loadgen.p95_us ~unit_:"us" ();
-    record ~metric:(Fmt.str "serve/%s/p99" name) ~value:r.Loadgen.p99_us ~unit_:"us" ();
-    record ~metric:(Fmt.str "serve/%s/throughput" name) ~value:r.Loadgen.throughput
-      ~unit_:"ops/s" ();
-    record ~metric:(Fmt.str "serve/%s/errors" name) ~value:(float_of_int r.Loadgen.errors)
-      ~unit_:"count" ();
-    Fmt.pr "  %-14s %a@." name Loadgen.pp_report r;
-    r
-  in
-  let seed = 20150901 in
-  ignore (arm "closed_1c" { Loadgen.clients = 1; duration_s; mode = Loadgen.Closed; mix; seed; req_ids = false; retry = None });
-  ignore (arm "closed_4c" { Loadgen.clients = 4; duration_s; mode = Loadgen.Closed; mix; seed; req_ids = false; retry = None });
-  ignore
-    (arm "open_4c_100rps"
-       { Loadgen.clients = 4; duration_s; mode = Loadgen.Open 100.; mix; seed; req_ids = false; retry = None });
-  (* MVCC acceptance probe: pin, hammer 1000 edits from a second
-     connection (journal capacity 256 -> several compactions), re-read
-     the pinned snapshot, then catch up from the journal *)
-  let reader = Client.connect addr and writer = Client.connect addr in
-  let bits = function
-    | P.Ok (P.Float v) -> Int64.bits_of_float v
-    | r -> failwith (Fmt.str "E16: expected a float answer, got %a" P.pp_response r)
-  in
-  let rev = match Client.request reader P.Pin with
-    | P.Ok (P.Int r) -> r
-    | r -> failwith (Fmt.str "E16: pin answered %a" P.pp_response r)
-  in
-  let before = bits (Client.request reader (P.Query { rev; q = "static-power" })) in
-  let n_revs = 1000 in
-  let t0 = Unix.gettimeofday () in
-  for i = 1 to n_revs do
-    match
-      Client.request writer
-        (P.Edit
-           {
-             path = core_path;
-             key = "static_power";
-             value = string_of_int (1 + (i mod 40));
-             unit_spelling = Some "W";
-             req_id = None;
-           })
-    with
-    | P.Ok (P.Int _) -> ()
-    | r -> failwith (Fmt.str "E16: edit answered %a" P.pp_response r)
-  done;
-  let edit_us = (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int n_revs in
-  let after = bits (Client.request reader (P.Query { rev; q = "static-power" })) in
-  let replayable =
-    match Client.request reader (P.EditsSince rev) with
-    | P.Ok (P.Edits l) -> List.length l = n_revs
-    | _ -> false
-  in
-  let head = bits (Client.request reader (P.Query { rev = -1; q = "static-power" })) in
-  ignore (Client.request reader (P.Unpin rev));
-  Client.close reader;
-  Client.close writer;
-  let bitexact = if Int64.equal before after then 1. else 0. in
-  record ~metric:"serve/pinned_drift/revisions" ~value:(float_of_int n_revs) ~unit_:"count" ();
-  record ~metric:"serve/pinned_drift/bitexact" ~value:bitexact ~unit_:"bool" ();
-  record ~metric:"serve/pinned_drift/replayable" ~value:(if replayable then 1. else 0.)
-    ~unit_:"bool" ();
-  record ~metric:"serve/pinned_drift/edit_latency" ~value:edit_us ~unit_:"us" ();
-  Fmt.pr "  pinned snapshot after %d revisions: %s (journal %s, head %s, %.1f us/edit)@."
-    n_revs
-    (if bitexact = 1. then "bit-identical" else "DRIFTED")
-    (if replayable then "replayable" else "COMPACTED")
-    (if Int64.equal head before then "unchanged (!)" else "moved")
-    edit_us;
-  if bitexact <> 1. then failwith "E16: pinned snapshot drifted under a concurrent writer"
-
-(* ------------------------------------------------------------------ *)
-(* E17: design-space exploration — parallel sweep throughput *)
-
-(* The committed 3-axis SpMV sweep template (27 points, 6 pruned by the
-   ncores*freq power-budget constraint) evaluated sequentially and on 4
-   domains.  The acceptance probe is determinism: the 4-domain report
-   must be byte-identical to the sequential one at the same seed.
-   Speedup scales with the host's core count; on a single-core container
-   the parallel arm measures domain-scheduling overhead only. *)
-(* The committed examples/spmv_sweep.xpdl platform with denser declared
-   range ladders (5 x 7 x 8 = 280 points; the socket power budget prunes
-   64), so the grid is large enough to amortize domain startup — the
-   sweep points themselves cost a few hundred us each (instantiate +
-   bootstrap + query). *)
-let e17_template =
-  {|<system id="spmv_sweep_dense">
-  <cpu id="host_cpu">
-    <param name="ncores" type="integer" value="4" range="2,3,4,5,6" />
-    <param name="freq" type="frequency" frequency="2.4" unit="GHz"
-           range="1.8,2.0,2.2,2.4,2.6,2.8,3.0" />
-    <constraints>
-      <constraint expr="ncores * freq &lt;= 12.5e9" />
-    </constraints>
-    <group prefix="hc" quantity="ncores">
-      <core frequency="freq" isa="x86_base_isa" static_power="1.2" static_power_unit="W">
-        <cache size="256" unit="KB" level="2" latency="12" latency_unit="ns" />
-      </core>
-    </group>
-  </cpu>
-  <memory id="main_mem" size="16" unit="GiB" latency="60" latency_unit="ns"
-          static_power="2.5" static_power_unit="W" />
-  <device id="gpu1">
-    <param name="pciebw" value="8e9"
-           range="2e9,4e9,6e9,8e9,10e9,12e9,14e9,16e9" />
-    <group prefix="sm" quantity="8">
-      <core frequency="0.7" frequency_unit="GHz" isa="ptx_isa"
-            static_power="0.01" static_power_unit="W" />
-    </group>
-    <memory id="gpu_mem" size="4" unit="GiB" static_power="1.0" static_power_unit="W" />
-  </device>
-  <interconnects>
-    <interconnect id="pcie_link" head="host_cpu" tail="gpu1">
-      <channel name="lanes" max_bandwidth="pciebw" />
-    </interconnect>
-  </interconnects>
-  <software>
-    <hostOS id="os1" type="Linux_3.13" />
-    <installed type="MKL_11.0" path="/opt/intel/mkl" />
-    <installed type="CUDA_6.0" path="/usr/local/cuda6.0" />
-    <installed type="CUSPARSE_6.0" path="/usr/local/cuda6.0/lib64" />
-  </software>
-  <power_model name="sweep_pm">
-    <instructions name="x86_base_isa" mb="sweep_mb">
-      <inst name="fmul" energy="?" energy_unit="pJ" mb="fm1" latency="5" throughput="1" />
-      <inst name="fadd" energy="?" energy_unit="pJ" mb="fa1" latency="3" throughput="1" />
-      <inst name="ld" energy="?" energy_unit="pJ" mb="ld1" latency="4" throughput="1" />
-      <inst name="st" energy="52" energy_unit="pJ" latency="4" throughput="1" />
-      <inst name="add" energy="21" energy_unit="pJ" latency="1" throughput="2" />
-    </instructions>
-    <microbenchmarks name="sweep_mb" instruction_set="x86_base_isa"
-                     path="/usr/local/micr/src" command="mbscript.sh">
-      <microbenchmark id="fm1" type="fmul" file="fmul.c" cflags="-O0" lflags="-lm" iterations="100000" />
-      <microbenchmark id="fa1" type="fadd" file="fadd.c" cflags="-O0" lflags="-lm" iterations="100000" />
-      <microbenchmark id="ld1" type="ld" file="ld.c" cflags="-O0" iterations="100000" />
-    </microbenchmarks>
-  </power_model>
-</system>|}
-
-let e17 () =
-  header "E17: design-space sweep (sequential vs 4-domain parallel)";
-  let module Dse = Xpdl_dse.Dse in
-  let tmpl = fst (Xpdl_core.Elaborate.of_xml (Xpdl_xml.Parse.string_exn e17_template)) in
-  let config jobs =
-    {
-      Dse.default_config with
-      Dse.jobs;
-      workload = { Dse.wl_rows = 1024; wl_density = 0.05; wl_iterations = 2 };
-    }
-  in
-  let run jobs =
-    match Dse.run ~config:(config jobs) tmpl with
-    | Ok r -> r
-    | Error d -> failwith (Fmt.str "E17: sweep failed: %a" Xpdl_core.Diagnostic.pp d)
-  in
-  ignore (run 1);
-  (* warmed; time the best of a few repetitions (one-sided noise) *)
-  let reps = if quota_s >= 0.25 then 3 else 1 in
-  let best jobs =
-    let t = ref infinity and last = ref None in
-    for _ = 1 to reps do
-      let r, dt = wall (fun () -> run jobs) in
-      if dt < !t then t := dt;
-      last := Some r
-    done;
-    (Option.get !last, !t)
-  in
-  let r_seq, t_seq = best 1 in
-  let r_par, t_par = best 4 in
-  let points = float_of_int r_seq.Dse.rp_space in
-  let seq_pps = points /. t_seq and par_pps = points /. t_par in
-  let speedup = t_seq /. t_par in
-  let bitexact =
-    if String.equal (Dse.report_to_json r_seq) (Dse.report_to_json r_par) then 1. else 0.
-  in
-  record ~metric:"dse/points" ~value:points ~unit_:"count" ();
-  record ~metric:"dse/front_size"
-    ~value:(float_of_int (List.length r_seq.Dse.rp_front))
-    ~unit_:"count" ();
-  record ~metric:"dse/seq/points_per_s" ~value:seq_pps ~unit_:"points/s" ();
-  record ~metric:"dse/par4/points_per_s" ~value:par_pps ~unit_:"points/s" ();
-  record ~metric:"dse/par4/speedup" ~value:speedup ~unit_:"x" ();
-  record ~metric:"dse/par4/bitexact" ~value:bitexact ~unit_:"bool" ();
-  Fmt.pr
-    "  %d points (%d evaluated, %d pruned, front %d): seq %.2f pts/s, 4-domain %.2f pts/s (%.2fx, %s)@."
-    r_seq.Dse.rp_space r_seq.Dse.rp_evaluated r_seq.Dse.rp_pruned
-    (List.length r_seq.Dse.rp_front) seq_pps par_pps speedup
-    (if bitexact = 1. then "byte-identical" else "DIVERGED");
-  if bitexact <> 1. then
-    failwith "E17: parallel sweep diverged from sequential at the same seed"
-
-(* ------------------------------------------------------------------ *)
-(* E18: fleet-scale repository — persistent index, lazy loading,
-   parallel validate-all over a Gen.repo synthetic repository.  The
-   full run uses 10k models (ROADMAP item 4's target); smoke quotas
-   scale down but keep every gate meaningful. *)
-
-let rec remove_tree path =
-  match Sys.is_directory path with
-  | true ->
-      Array.iter (fun n -> remove_tree (Filename.concat path n)) (Sys.readdir path);
-      (try Sys.rmdir path with Sys_error _ -> ())
-  | false -> ( try Sys.remove path with Sys_error _ -> ())
-  | exception Sys_error _ -> ()
-
-let e18 () =
-  header "E18: fleet-scale repository (index, lazy open, parallel validate-all)";
-  let module Repo = Xpdl_repo.Repo in
-  let module Gen = Xpdl_gen.Gen in
-  let n_models = if quota_s >= 0.25 then 10_000 else 1_500 in
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) (Fmt.str "xpdl_e18_%d" (Unix.getpid ())) in
-  remove_tree dir;
-  Fun.protect ~finally:(fun () -> remove_tree dir) @@ fun () ->
-  let g = Gen.create ~seed:18 in
-  let spec =
-    { Gen.default_repo_spec with rs_models = n_models; rs_dirs = 16; rs_corrupt = 0.01;
-      rs_shadow = 0.02; rs_systems = 4 }
-  in
-  let files = Gen.repo_files g spec in
-  Gen.write_repo ~dir files;
-  record ~metric:"repo/models" ~value:(float_of_int n_models) ~unit_:"count" ();
-  record ~metric:"repo/files" ~value:(float_of_int (List.length files)) ~unit_:"count" ();
-  (* eager open: the pre-index baseline, parses everything *)
-  let eager, t_eager =
-    wall (fun () ->
-        let r = Repo.create () in
-        Repo.add_root r dir;
-        r)
-  in
-  let eager_parsed = (Repo.stats eager).Repo.parsed_files in
-  (* cold indexed open: one full pass that also writes the sidecar *)
-  let _, t_cold =
-    wall (fun () ->
-        let r = Repo.create () in
-        Repo.open_root r dir;
-        r)
-  in
-  (* warm indexed open: name table + diagnostics from the sidecar only *)
-  let warm, t_warm =
-    wall (fun () ->
-        let r = Repo.create () in
-        Repo.open_root r dir;
-        r)
-  in
-  let s_open = Repo.stats warm in
-  (* first query: composing one system materializes only its closure *)
-  let _, t_query = wall (fun () -> Repo.compose_by_name warm "sys0000") in
-  let s_query = Repo.stats warm in
-  let parse_ratio = float_of_int eager_parsed /. float_of_int (max 1 s_query.Repo.parsed_files) in
-  record ~metric:"repo/eager_open_s" ~value:t_eager ~unit_:"s" ();
-  record ~metric:"repo/index_build_s" ~value:t_cold ~unit_:"s" ();
-  record ~metric:"repo/warm_open_s" ~value:t_warm ~unit_:"s" ();
-  record ~metric:"repo/warm_speedup" ~value:(t_eager /. t_warm) ~unit_:"x" ();
-  record ~metric:"repo/first_query_s" ~value:t_query ~unit_:"s" ();
-  record ~metric:"repo/warm_open_parsed" ~value:(float_of_int s_open.Repo.parsed_files)
-    ~unit_:"count" ();
-  record ~metric:"repo/first_query_parsed" ~value:(float_of_int s_query.Repo.parsed_files)
-    ~unit_:"count" ();
-  record ~metric:"repo/parse_ratio" ~value:parse_ratio ~unit_:"x" ();
-  Fmt.pr "  %d models in %d files: eager %.2fs, index build %.2fs, warm open %.3fs (%.0fx)@."
-    n_models (List.length files) t_eager t_cold t_warm (t_eager /. t_warm);
-  Fmt.pr "  warm open parsed %d files; first compose parsed %d (eager parsed %d, ratio %.0fx)@."
-    s_open.Repo.parsed_files s_query.Repo.parsed_files eager_parsed parse_ratio;
-  (* validate-all: sequential vs parallel on fresh warm opens, with a
-     cache big enough that thrash does not contaminate the comparison *)
-  let validate jobs =
-    let r = Repo.create ~cache_capacity:(n_models + 64) () in
-    Repo.open_root r dir;
-    wall (fun () -> Repo.validate_all ~jobs r)
-  in
-  let render rs =
-    String.concat "\n"
-      (List.map
-         (fun (v : Repo.validation) ->
-           Fmt.str "%s %s %s" v.Repo.va_ident v.Repo.va_kind
-             (String.concat ";"
-                (List.map (Fmt.str "%a" Xpdl_core.Diagnostic.pp) v.Repo.va_errors)))
-         rs)
-  in
-  let jobs = 4 in
-  let r_seq, t_seq = validate 1 in
-  let r_par, t_par = validate jobs in
-  let failing =
-    List.length (List.filter (fun (v : Repo.validation) -> v.Repo.va_errors <> []) r_seq)
-  in
-  let bitexact = if String.equal (render r_seq) (render r_par) then 1. else 0. in
-  record ~metric:"repo/validate/descriptors" ~value:(float_of_int (List.length r_seq))
-    ~unit_:"count" ();
-  record ~metric:"repo/validate/errors" ~value:(float_of_int failing) ~unit_:"count" ();
-  record ~metric:"repo/validate/seq_s" ~value:t_seq ~unit_:"s" ();
-  record ~metric:"repo/validate/par_s" ~value:t_par ~unit_:"s" ();
-  record ~metric:"repo/validate/speedup" ~value:(t_seq /. t_par) ~unit_:"x" ();
-  record ~metric:"repo/validate/bitexact" ~value:bitexact ~unit_:"bool" ();
-  Fmt.pr "  validate-all: %d descriptors (%d failing): seq %.2fs, %d-domain %.2fs (%.2fx, %s)@."
-    (List.length r_seq) failing t_seq jobs t_par (t_seq /. t_par)
-    (if bitexact = 1. then "byte-identical" else "DIVERGED");
-  if bitexact <> 1. then
-    failwith "E18: parallel validate-all diverged from sequential"
-
-(* ------------------------------------------------------------------ *)
-(* E19: crash-safe durable serving — WAL append overhead vs the
-   in-memory store, the fsync-per-edit floor, and the recovery
-   bit-identity probe (reopen the journal directory read-only and
-   compare model fingerprints). *)
-
-let e19 () =
-  header "E19: durable serving (WAL overhead, recovery bit-identity)";
-  let module Hub = Xpdl_serve.Hub in
-  let module Server = Xpdl_serve.Server in
-  let module Client = Xpdl_serve.Client in
-  let module P = Xpdl_serve.Protocol in
-  let module Wal = Xpdl_store.Wal in
-  let module M = Xpdl_core.Model in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ()) (Fmt.str "xpdl_e19_%d" (Unix.getpid ()))
-  in
-  remove_tree dir;
-  Fun.protect ~finally:(fun () -> remove_tree dir) @@ fun () ->
-  Unix.mkdir dir 0o755;
-  let model = composed "liu_gpu_server" in
-  let n = if quota_s >= 0.25 then 2000 else 300 in
-  (* p50 of one client's edit round-trips against a served hub *)
-  let edit_p50 hub n =
-    let sock = Filename.temp_file "xpdl_e19" ".sock" in
-    Sys.remove sock;
-    let addr = Server.Unix_socket sock in
-    let srv = Server.start ~deadline_s:600. addr hub in
-    Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
-    let core_path =
-      List.hd (Store.find_paths (Hub.store hub) (fun e -> e.M.kind = Xpdl_core.Schema.Core))
-    in
-    let c = Client.connect addr in
-    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-    let samples = Array.make n 0. in
-    for i = 0 to n - 1 do
-      let t0 = Unix.gettimeofday () in
-      (match
-         Client.request c
-           (P.Edit
-              {
-                path = core_path;
-                key = "static_power";
-                value = string_of_int (1 + (i mod 40));
-                unit_spelling = Some "W";
-                req_id = Some (i + 1);
-              })
-       with
-      | P.Ok (P.Int _) -> ()
-      | r -> failwith (Fmt.str "E19: edit answered %a" P.pp_response r));
-      samples.(i) <- (Unix.gettimeofday () -. t0) *. 1e6
-    done;
-    Array.sort compare samples;
-    samples.(n / 2)
-  in
-  (* arm 1: the in-memory baseline *)
-  let plain_p50 = edit_p50 (Hub.create ~journal_capacity:256 model) n in
-  (* arm 2: durable with the default interval policy — the WAL append is
-     on the edit path, the fsync is amortized *)
-  let wal_dir = Filename.concat dir "interval" in
-  let st, _ =
-    match Store.recover ~policy:(Wal.Interval 0.05) ~checkpoint_every:1024 ~dir:wal_dir model with
-    | Ok v -> v
-    | Error d -> failwith (Fmt.str "E19: recover: %a" Xpdl_core.Diagnostic.pp d)
-  in
-  let wal_p50 = edit_p50 (Hub.of_store st) n in
-  let head = Wal.model_fingerprint (Store.model st) in
-  let rev = Store.revision st in
-  Store.sync_wal st;
-  Store.close_wal st;
-  (* arm 3: fsync-per-edit — the durability ceiling, priced per edit *)
-  let always_dir = Filename.concat dir "always" in
-  let st_a, _ =
-    match Store.recover ~policy:Wal.Always ~checkpoint_every:1024 ~dir:always_dir model with
-    | Ok v -> v
-    | Error d -> failwith (Fmt.str "E19: recover: %a" Xpdl_core.Diagnostic.pp d)
-  in
-  let always_p50 = edit_p50 (Hub.of_store st_a) (min n 200) in
-  Store.close_wal st_a;
-  (* recovery probe: a read-only reopen of the interval arm's directory
-     must land on the same revision with a bit-identical head *)
-  let recovered, _ =
-    match Store.recover ~read_only:true ~dir:wal_dir model with
-    | Ok v -> v
-    | Error d -> failwith (Fmt.str "E19: read-only recover: %a" Xpdl_core.Diagnostic.pp d)
-  in
-  let bitexact =
-    if Store.revision recovered = rev && Wal.model_fingerprint (Store.model recovered) = head
-    then 1.
-    else 0.
-  in
-  let overhead = wal_p50 /. plain_p50 in
-  record ~metric:"serve/wal/plain_p50" ~value:plain_p50 ~unit_:"us" ();
-  record ~metric:"serve/wal/edit_p50" ~value:wal_p50 ~unit_:"us" ();
-  record ~metric:"serve/wal/always_p50" ~value:always_p50 ~unit_:"us" ();
-  record ~metric:"serve/wal/overhead" ~value:overhead ~unit_:"x" ();
-  record ~metric:"serve/wal/edits" ~value:(float_of_int n) ~unit_:"count" ();
-  record ~metric:"serve/wal/recovered_rev" ~value:(float_of_int (Store.revision recovered))
-    ~unit_:"count" ();
-  record ~metric:"serve/wal/recovered_bitexact" ~value:bitexact ~unit_:"bool" ();
-  Fmt.pr "  edit p50 over %d edits: in-memory %.1f us, wal(interval) %.1f us (%.2fx), wal(always) %.1f us@."
-    n plain_p50 wal_p50 overhead always_p50;
-  Fmt.pr "  recovery: revision %d reopened %s@." rev
-    (if bitexact = 1. then "bit-identical" else "DIVERGED");
-  if bitexact <> 1. then failwith "E19: recovered head diverged from the served head"
-
-(* ------------------------------------------------------------------ *)
 
 let experiments =
   [ ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6); ("E7", e7);
     ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11); ("E12", e12); ("E13", e13);
-    ("E14", e14); ("E15", e15); ("E16", e16); ("E17", e17); ("E18", e18); ("E19", e19) ]
+    ("E14", e14); ("E15", e15) ]
 
 let () =
   let json_file = ref None in
@@ -1343,19 +901,24 @@ let () =
     | [] -> List.map fst experiments
     | names -> names
   in
+  (* reject a misspelt or retired name before anything runs, so a
+     caller that gates on the exit status cannot pass by running nothing *)
+  (match List.filter (fun n -> not (List.mem_assoc n experiments)) requested with
+  | [] -> ()
+  | unknown ->
+      Fmt.epr "unknown experiment %a; valid: %a@." Fmt.(list ~sep:sp string) unknown
+        Fmt.(list ~sep:sp string) (List.map fst experiments);
+      exit 2);
   Fmt.pr "XPDL benchmark harness — experiments %a@." Fmt.(list ~sep:sp string) requested;
   List.iter
     (fun name ->
-      match List.assoc_opt name experiments with
-      | Some f ->
-          current_exp := name;
-          (* isolate experiments from each other's heap state: without
-             this, allocation-heavy early experiments leave a large
-             fragmented major heap that inflates later one-shot
-             measurements by an order of magnitude *)
-          Gc.compact ();
-          f ()
-      | None -> Fmt.epr "unknown experiment %s@." name)
+      current_exp := name;
+      (* isolate experiments from each other's heap state: without
+         this, allocation-heavy early experiments leave a large
+         fragmented major heap that inflates later one-shot
+         measurements by an order of magnitude *)
+      Gc.compact ();
+      (List.assoc name experiments) ())
     requested;
   Fmt.pr "@.done.@.";
   Option.iter write_json !json_file

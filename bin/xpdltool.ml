@@ -693,10 +693,6 @@ let dse_cmd =
     let doc = "Evaluate a seeded splitmix64 sample of $(docv) distinct points." in
     Arg.(value & opt (some int) None & info [ "sample" ] ~docv:"N" ~doc)
   in
-  let exhaustive_arg =
-    let doc = "Evaluate the full cartesian grid (the default)." in
-    Arg.(value & flag & info [ "exhaustive" ] ~doc)
-  in
   let seed_arg =
     let doc = "Sweep seed: sampling stream and every per-point machine seed derive from it." in
     Arg.(value & opt int Xpdl_dse.Dse.default_config.Xpdl_dse.Dse.seed
@@ -749,10 +745,9 @@ let dse_cmd =
                 let diags = pdiags @ ediags in
                 if Diagnostic.all_ok diags then Ok e else Error diags))
   in
-  let run format max_errors template axes sample exhaustive jobs seed rows density iterations
-      fault_rate fault_seed =
+  let run format max_errors template axes sample jobs seed rows density iterations fault_rate
+      fault_seed =
     setup_logs ();
-    ignore exhaustive;
     match load_template template with
     | Error diags -> emit_diags ~format ?max_errors diags
     | Ok tmpl -> (
@@ -806,7 +801,7 @@ let dse_cmd =
           time, static power) with per-axis sensitivities")
     Term.(
       const run $ format_arg $ max_errors_arg $ template_arg $ axis_arg $ sample_arg
-      $ exhaustive_arg $ jobs_arg $ seed_arg $ rows_arg $ density_arg $ iterations_arg
+      $ jobs_arg $ seed_arg $ rows_arg $ density_arg $ iterations_arg
       $ fault_rate_arg $ fault_seed_arg)
 
 (* --- serve / loadgen --- *)

@@ -946,14 +946,6 @@ let first_diff la lb a b =
   in
   go 0 (a, b)
 
-let rec remove_tree path =
-  match Sys.is_directory path with
-  | true ->
-      Array.iter (fun n -> remove_tree (Filename.concat path n)) (Sys.readdir path);
-      (try Sys.rmdir path with Sys_error _ -> ())
-  | false -> ( try Sys.remove path with Sys_error _ -> ())
-  | exception Sys_error _ -> ()
-
 (* Generate a repository on disk; check that (1) a cold open_root (index
    built from scratch), (2) a warm open_root (index reused, nothing
    parsed), and (3) a warm open after random file mutations that
@@ -1110,8 +1102,8 @@ let apply_dedit st d =
    oracle's model at R.  A clean crash must lose nothing (R = n). *)
 let run_durable_scenario ~dir ~init ~script ~checkpoint_every ~crash_sel () : string option =
   let n = Array.length script in
-  remove_tree dir;
-  Fun.protect ~finally:(fun () -> remove_tree dir) @@ fun () ->
+  Xpdl_kernel.remove_tree dir;
+  Fun.protect ~finally:(fun () -> Xpdl_kernel.remove_tree dir) @@ fun () ->
   match Store.recover ~policy:Wal.Never ~checkpoint_every ~dir init with
   | Error d -> fail "recover (fresh dir): [%s] %s" d.Diagnostic.code d.Diagnostic.message
   | Ok (durable, _) -> (
@@ -1272,7 +1264,8 @@ let doc_property name generate check =
   element_property ~minimize:Gen.minimize ~print:Print.to_string name (fun g ->
       (generate g, check))
 
-(* A property that keeps state on disk: a fresh directory per case. *)
+(* A property that keeps state on disk: a fresh directory per case,
+   deleted afterwards. *)
 let dir_property name prefix check =
   let run ~seed ~case =
     let g = gen_for ~seed ~name ~case in
@@ -1280,7 +1273,8 @@ let dir_property name prefix check =
       Filename.concat (Filename.get_temp_dir_name ())
         (Fmt.str "%s_%d_%d_%d" prefix (Unix.getpid ()) seed case)
     in
-    check g ~dir
+    Xpdl_kernel.remove_tree dir;
+    Fun.protect ~finally:(fun () -> Xpdl_kernel.remove_tree dir) (fun () -> check g ~dir)
   in
   { p_name = name; p_run = run }
 
@@ -1316,9 +1310,7 @@ let properties =
         let density = 0.05 +. (float_of_int (Gen.int g 25) /. 100.) in
         let parallel = Gen.chance g 0.25 in
         (doc, fun d -> check_dse_pareto d ~sweep_seed ~rows ~density ~parallel));
-    dir_property "repo-lazy" "xpdl_repolazy" (fun g ~dir ->
-        remove_tree dir;
-        Fun.protect ~finally:(fun () -> remove_tree dir) (fun () -> check_repo_lazy g ~dir));
+    dir_property "repo-lazy" "xpdl_repolazy" check_repo_lazy;
     element_property ~minimize:(fun _ body -> body) ~print:(Fmt.str "&%s;") "charref-oracle"
       (fun g -> (Gen.charref g, check_charref));
   ]
@@ -1329,31 +1321,27 @@ let run ?(seed = default_seed) ?(count = 500) ?properties:(selected = property_n
     ?(on_case = fun _ _ -> ()) () =
   let failures = ref [] in
   let cases = ref 0 in
+  let selected = List.filter (fun p -> List.mem p.p_name selected) properties in
   List.iter
     (fun p ->
-      if List.mem p.p_name selected then begin
-        let rec go case =
-          if case < count then begin
-            on_case p.p_name case;
-            incr cases;
-            match p.p_run ~seed ~case with
-            | None -> go (case + 1)
-            | Some (msg, repro) ->
-                (* stop this property's stream: one minimized
-                   counterexample, not a flood of copies *)
-                failures :=
-                  { f_property = p.p_name; f_seed = seed; f_case = case; f_message = msg;
-                    f_repro = repro }
-                  :: !failures
-          end
-        in
-        go 0
-      end)
-    properties;
-  let n_properties =
-    List.length (List.filter (fun p -> List.mem p.p_name selected) properties)
-  in
-  { r_seed = seed; r_count = count; r_properties = n_properties; r_cases = !cases;
+      let rec go case =
+        if case < count then begin
+          on_case p.p_name case;
+          incr cases;
+          match p.p_run ~seed ~case with
+          | None -> go (case + 1)
+          | Some (msg, repro) ->
+              (* stop this property's stream: one minimized
+                 counterexample, not a flood of copies *)
+              failures :=
+                { f_property = p.p_name; f_seed = seed; f_case = case; f_message = msg;
+                  f_repro = repro }
+                :: !failures
+        end
+      in
+      go 0)
+    selected;
+  { r_seed = seed; r_count = count; r_properties = List.length selected; r_cases = !cases;
     r_failures = List.rev !failures }
 
 let pp_failure ppf f =

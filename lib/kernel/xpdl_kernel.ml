@@ -86,6 +86,16 @@ let write ~path data =
       (try Unix.close dfd with Unix.Unix_error _ -> ())
   | exception Unix.Unix_error _ -> ()
 
+let rec remove_tree path =
+  match (Unix.lstat path).Unix.st_kind with
+  | Unix.S_DIR ->
+      Array.iter
+        (fun n -> remove_tree (Filename.concat path n))
+        (try Sys.readdir path with Sys_error _ -> [||]);
+      (try Unix.rmdir path with Unix.Unix_error _ -> ())
+  | _ -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
+  | exception Unix.Unix_error _ -> ()
+
 (* No work stealing: chunks are small enough (>= 8 per domain on
    average) that tail imbalance stays bounded. *)
 let iter ~jobs n f =

@@ -4,7 +4,7 @@
     {- the 63-bit payload checksum and the string table of every
        on-disk format ([.xrt] runtime models, [.xpdlidx] sidecars, WAL
        records and checkpoints);}
-    {- the crash-safe whole-file writer;}
+    {- the crash-safe whole-file writer and the recursive delete;}
     {- the domain pool behind parallel sweeps and validation;}
     {- JSON string and float spelling for every report.}} *)
 
@@ -55,6 +55,11 @@ end
     error the tmp file is removed and the [Unix.Unix_error] or
     [Sys_error] is re-raised. *)
 val write : path:string -> string -> unit
+
+(** Delete [path] and, when it is a directory, everything under it.
+    Symbolic links are removed, not followed.  A missing path, or an
+    entry that cannot be removed, is skipped without raising. *)
+val remove_tree : string -> unit
 
 (** {1 Domain pool} *)
 

@@ -43,7 +43,11 @@ let default_policy =
   }
 
 (* The backoff stream is derived from (policy seed, benchmark name), so
-   schedules are independent per benchmark yet fully replayable. *)
+   schedules are independent per benchmark yet fully replayable.  The
+   jitter only lengthens a delay (factor 1 + j*u), unlike
+   [Xpdl_serve.Client.backoff_delay]'s symmetric 1 - j + 2j*u: the
+   delays land in the health reports that test_faults pins as
+   byte-identical replays, so the two formulas stay separate. *)
 let backoff_schedule policy ~name ~attempts =
   let rng = Rng.split (Rng.create ~seed:policy.backoff_seed) ("backoff:" ^ name) in
   List.init attempts (fun i ->

@@ -142,6 +142,11 @@ let retryable = function
       true
   | _ -> false
 
+(* Jitter symmetric around the exponential base (factor 1 - j + 2j*u),
+   so a retry may come sooner than the base: this is the client's retry
+   timing.  [Xpdl_microbench.Resilient.backoff_schedule] keeps a
+   one-sided 1 + j*u because its delays are pinned in replayable health
+   reports; merging the two would change one or the other. *)
 let backoff_delay policy rng k =
   let base = policy.backoff_base_s *. (policy.backoff_factor ** float_of_int k) in
   let j = policy.backoff_jitter in

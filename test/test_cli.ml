@@ -147,8 +147,7 @@ let test_emit_drivers () =
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "cli_drivers" in
   ignore (check_ok "emit-drivers" (run_tool [ "emit-drivers"; "liu_gpu_server"; "-d"; dir ]));
   Alcotest.(check bool) "driver file" true (Sys.file_exists (Filename.concat dir "fadd.c"));
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Sys.rmdir dir
+  Xpdl_kernel.remove_tree dir
 
 let case name f = Alcotest.test_case name `Quick f
 

@@ -4,12 +4,7 @@
 module Q = Xpdl_query.Query
 open Xpdl_compose
 
-let repo = lazy (Xpdl_repo.Repo.load_bundled ())
-
-let model name =
-  match Xpdl_repo.Repo.compose_by_name (Lazy.force repo) name with
-  | Ok c -> c.Xpdl_repo.Repo.model
-  | Error msg -> Alcotest.failf "compose %s: %s" name msg
+let model = Testlib.model
 
 let liu_ctx ?(iterations = 1) ~rows ~density () =
   let m = model "liu_gpu_server" in

@@ -60,20 +60,15 @@ let test_strict_mode_still_raises () =
 
 let with_temp_repo files f =
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "xpdl_diag_repo" in
-  if Sys.file_exists dir then
-    Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir)
-  else Sys.mkdir dir 0o755;
+  Xpdl_kernel.remove_tree dir;
+  Sys.mkdir dir 0o755;
   List.iter
     (fun (name, content) ->
       let oc = open_out (Filename.concat dir name) in
       output_string oc content;
       close_out oc)
     files;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
-      Sys.rmdir dir)
-    (fun () -> f dir)
+  Fun.protect ~finally:(fun () -> Xpdl_kernel.remove_tree dir) (fun () -> f dir)
 
 let test_corrupt_file_does_not_block_siblings () =
   let corrupt =

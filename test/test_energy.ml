@@ -4,12 +4,8 @@
 open Xpdl_core
 open Xpdl_energy
 
-let repo = lazy (Xpdl_repo.Repo.load_bundled ())
-
-let model name =
-  match Xpdl_repo.Repo.compose_by_name (Lazy.force repo) name with
-  | Ok c -> c.Xpdl_repo.Repo.model
-  | Error msg -> Alcotest.failf "compose %s: %s" name msg
+let repo = Testlib.repo
+let model = Testlib.model
 
 let approx = Alcotest.float 1e-6
 

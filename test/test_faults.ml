@@ -9,12 +9,8 @@ module Machine = Xpdl_simhw.Machine
 module Resilient = Xpdl_microbench.Resilient
 module Store = Xpdl_store.Store
 
-let repo = lazy (Xpdl_repo.Repo.load_bundled ())
-
-let model name =
-  match Xpdl_repo.Repo.compose_by_name (Lazy.force repo) name with
-  | Ok c -> c.Xpdl_repo.Repo.model
-  | Error msg -> Alcotest.failf "compose %s: %s" name msg
+let repo = Testlib.repo
+let model = Testlib.model
 
 (* A minimal one-instruction system; [extra] lands on the <inst>, [data]
    rows under it, so each degradation rung can be staged precisely. *)

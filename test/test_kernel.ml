@@ -55,6 +55,37 @@ let test_write () =
   List.iter Sys.remove [ path; Filename.concat sub "x" ];
   List.iter Unix.rmdir [ sub; dir ]
 
+let test_remove_tree () =
+  let fresh () =
+    let p = Filename.temp_file "xpdl-kernel" "" in
+    Sys.remove p;
+    p
+  in
+  let touch path = Out_channel.with_open_bin path (fun oc -> output_string oc "x") in
+  (* a nested tree, with a link to a directory outside it *)
+  let outside = fresh () in
+  Unix.mkdir outside 0o755;
+  touch (Filename.concat outside "kept");
+  let root = fresh () in
+  Unix.mkdir root 0o755;
+  let sub = Filename.concat root "a" in
+  Unix.mkdir sub 0o755;
+  Unix.mkdir (Filename.concat sub "b") 0o755;
+  touch (Filename.concat sub "f");
+  touch (Filename.concat (Filename.concat sub "b") "g");
+  Unix.symlink outside (Filename.concat root "link");
+  K.remove_tree root;
+  Alcotest.(check bool) "tree gone" false (Sys.file_exists root);
+  Alcotest.(check bool) "link not followed" true (Sys.file_exists (Filename.concat outside "kept"));
+  (* a plain file *)
+  let file = Filename.concat outside "kept" in
+  K.remove_tree file;
+  Alcotest.(check bool) "file gone" false (Sys.file_exists file);
+  (* a missing path returns without raising *)
+  K.remove_tree file;
+  K.remove_tree outside;
+  Alcotest.(check bool) "empty directory gone" false (Sys.file_exists outside)
+
 let test_checksum () =
   let input = String.init 24 (fun i -> Char.chr (((i * 37) + 11) land 0xff)) in
   let base = K.checksum input in
@@ -81,6 +112,7 @@ let () =
         [
           case "iter is jobs-independent" test_iter;
           case "write replaces atomically" test_write;
+          case "remove_tree" test_remove_tree;
           case "checksum sees every bit" test_checksum;
           case "json spelling" test_json;
         ] );

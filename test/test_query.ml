@@ -4,12 +4,8 @@
 module Q = Xpdl_query.Query
 module Ir = Xpdl_toolchain.Ir
 
-let repo = lazy (Xpdl_repo.Repo.load_bundled ())
-
-let model name =
-  match Xpdl_repo.Repo.compose_by_name (Lazy.force repo) name with
-  | Ok c -> c.Xpdl_repo.Repo.model
-  | Error msg -> Alcotest.failf "compose %s: %s" name msg
+let repo = Testlib.repo
+let model = Testlib.model
 
 (* liu server, through the full pipeline incl. bootstrap, as an app would
    see it at startup *)

@@ -188,20 +188,7 @@ let prop_random_repo_end_to_end =
 
 (* --- persistent index + lazy loading ------------------------------- *)
 
-let with_temp_dir f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Fmt.str "xpdl_repotest_%d_%d" (Unix.getpid ()) (Random.bits ()))
-  in
-  Sys.mkdir dir 0o755;
-  let rec rm path =
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm (Filename.concat path n)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-  in
-  Fun.protect ~finally:(fun () -> try rm dir with Sys_error _ -> ()) (fun () -> f dir)
+let with_temp_dir = Testlib.with_temp_dir "xpdl_repotest"
 
 let write_file dir name s =
   Out_channel.with_open_bin (Filename.concat dir name) (fun oc -> Out_channel.output_string oc s)
@@ -374,6 +361,13 @@ let test_eviction_rematerialize () =
       let e = Option.get (Xpdl_repo.Repo.find r "M0") in
       Alcotest.(check (option string)) "re-materialized" (Some "v0") (Model.attr_string e "vendor"))
 
+let render_validations vs =
+  List.map
+    (fun v ->
+      Fmt.str "%s %s %a" v.Xpdl_repo.Repo.va_ident v.Xpdl_repo.Repo.va_kind
+        (Fmt.list Xpdl_core.Diagnostic.pp) v.Xpdl_repo.Repo.va_errors)
+    vs
+
 let test_validate_all_parity () =
   with_temp_dir (fun dir ->
       List.iter (fun (n, s) -> write_file dir n s) fleet_files;
@@ -383,21 +377,71 @@ let test_validate_all_parity () =
       Xpdl_repo.Repo.open_root lazy_repo dir;
       let warm = Xpdl_repo.Repo.create () in
       Xpdl_repo.Repo.open_root warm dir;
-      let render vs =
-        List.map
-          (fun v ->
-            Fmt.str "%s %s %a" v.Xpdl_repo.Repo.va_ident v.Xpdl_repo.Repo.va_kind
-              (Fmt.list Xpdl_core.Diagnostic.pp) v.Xpdl_repo.Repo.va_errors)
-          vs
-      in
-      let base = render (Xpdl_repo.Repo.validate_all ~jobs:1 eager) in
+      let base = render_validations (Xpdl_repo.Repo.validate_all ~jobs:1 eager) in
       Alcotest.(check (list string)) "lazy cold == eager" base
-        (render (Xpdl_repo.Repo.validate_all ~jobs:1 lazy_repo));
+        (render_validations (Xpdl_repo.Repo.validate_all ~jobs:1 lazy_repo));
       Alcotest.(check (list string)) "warm, 3 domains == eager" base
-        (render (Xpdl_repo.Repo.validate_all ~jobs:3 warm));
+        (render_validations (Xpdl_repo.Repo.validate_all ~jobs:3 warm));
       (* the sweep materializes into a private snapshot, not the cache *)
       Alcotest.(check int) "cache untouched by validate-all" 0
         (Xpdl_repo.Repo.stats warm).Xpdl_repo.Repo.materialized)
+
+(* A seeded 1,500-model fleet: a warm open through the sidecar parses
+   nothing and beats the eager scan by 20x, the first compose parses
+   100x fewer files than the eager scan, the validate-all failure count
+   is pinned by the seed, and 4 domains render the same report as 1 (and
+   run faster where there are 4 cores to run on). *)
+let test_fleet_scale () =
+  let module Repo = Xpdl_repo.Repo in
+  let module Gen = Xpdl_gen.Gen in
+  with_temp_dir (fun dir ->
+      let n_models = 1_500 in
+      let spec =
+        { Gen.default_repo_spec with rs_models = n_models; rs_dirs = 16; rs_corrupt = 0.01;
+          rs_shadow = 0.02; rs_systems = 4 }
+      in
+      Gen.write_repo ~dir (Gen.repo_files (Gen.create ~seed:18) spec);
+      let wall f =
+        let t0 = Unix.gettimeofday () in
+        let r = f () in
+        (r, Unix.gettimeofday () -. t0)
+      in
+      let open_with add =
+        (* no open pays for the garbage of the one before it *)
+        Gc.compact ();
+        wall (fun () ->
+            let r = Repo.create () in
+            add r dir;
+            r)
+      in
+      let eager, t_eager = open_with Repo.add_root in
+      let eager_parsed = (Repo.stats eager).Repo.parsed_files in
+      ignore (open_with Repo.open_root) (* cold: builds the sidecar *);
+      let warm, t_warm = open_with Repo.open_root in
+      Alcotest.(check int) "warm open parses nothing" 0 (Repo.stats warm).Repo.parsed_files;
+      if t_eager /. t_warm < 20. then
+        Alcotest.failf "warm open %.4fs is not 20x faster than eager %.4fs" t_warm t_eager;
+      (match Repo.compose_by_name warm "sys0000" with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "compose sys0000: %s" msg);
+      let compose_parsed = (Repo.stats warm).Repo.parsed_files in
+      if eager_parsed < 100 * max 1 compose_parsed then
+        Alcotest.failf "first compose parsed %d files, eager %d: under 100x" compose_parsed
+          eager_parsed;
+      let validate jobs =
+        let r = Repo.create ~cache_capacity:(n_models + 64) () in
+        Repo.open_root r dir;
+        wall (fun () -> Repo.validate_all ~jobs r)
+      in
+      let seq, t_seq = validate 1 in
+      let par, t_par = validate 4 in
+      Alcotest.(check int) "failing descriptors" 14
+        (List.length (List.filter (fun v -> v.Repo.va_errors <> []) seq));
+      Alcotest.(check (list string)) "4 domains == 1" (render_validations seq)
+        (render_validations par);
+      if Domain.recommended_domain_count () >= 4 && t_seq /. t_par <= 1.1 then
+        Alcotest.failf "4-domain validate-all %.3fs vs sequential %.3fs: not 1.1x faster" t_par
+          t_seq)
 
 let case name f = Alcotest.test_case name `Quick f
 
@@ -427,6 +471,7 @@ let () =
           case "unknown authority dedup" test_unknown_authority_dedup;
           case "eviction + re-materialize" test_eviction_rematerialize;
           case "validate-all parity + jobs" test_validate_all_parity;
+          case "fleet-scale floors" test_fleet_scale;
         ] );
       ( "compose",
         [

@@ -19,12 +19,7 @@ let case name f = Alcotest.test_case name `Quick f
 let watts w = Model.Quantity (Xpdl_units.Units.watts w, "W")
 let hertz f = Model.Quantity (Xpdl_units.Units.hertz f, "Hz")
 
-let repo = lazy (Xpdl_repo.Repo.load_bundled ())
-
-let model name =
-  match Xpdl_repo.Repo.compose_by_name (Lazy.force repo) name with
-  | Ok c -> c.Xpdl_repo.Repo.model
-  | Error msg -> Alcotest.failf "compose %s: %s" name msg
+let model = Testlib.model
 
 (* root -> two cpus -> one core each *)
 let small_tree () =
@@ -471,7 +466,8 @@ let test_hub_handle_frame () =
 (* Live socket smoke *)
 
 let test_server_socket () =
-  let h = Hub.create (model "liu_gpu_server") in
+  (* journal capacity 256: the 1000 edits below cross several compactions *)
+  let h = Hub.create ~journal_capacity:256 (model "liu_gpu_server") in
   let path = Filename.temp_file "xpdl-serve" ".sock" in
   Unix.unlink path;
   let srv = Server.start ~deadline_s:30. (Server.Unix_socket path) h in
@@ -483,23 +479,38 @@ let test_server_socket () =
       Alcotest.(check bool) "ping" true (Client.request c1 Protocol.Ping = Protocol.Ok Protocol.Unit);
       let cores = ok_int (Client.request c1 (Protocol.Query { rev = -1; q = "cores" })) in
       Alcotest.(check bool) "cores positive" true (cores > 0);
-      (* MVCC across the wire: c1 pins, c2 edits, c1's snapshot holds *)
+      (* MVCC across the wire: c1 pins, c2 lands 1000 edits, c1's
+         snapshot holds bit-for-bit and the journal past the pin stays
+         replayable *)
       let rev = ok_int (Client.request c1 Protocol.Pin) in
-      let pinned = ok_float_bits (Client.request c1 (Protocol.Query { rev; q = "static-power" })) in
-      Alcotest.(check bool)
-        "subscribe" true
-        (Client.request c1 Protocol.Subscribe = Protocol.Ok Protocol.Unit);
+      let static_power rev =
+        ok_float_bits (Client.request c1 (Protocol.Query { rev; q = "static-power" }))
+      in
+      let pinned = static_power rev in
       let paths = Store.find_paths (Hub.store h) (fun e -> e.Model.kind = Schema.Core) in
       let core_path = List.hd paths in
-      let new_rev =
+      let edit value =
         ok_int
           (Client.request c2
              (Protocol.Edit
-                { path = core_path; key = "static_power"; value = "11"; unit_spelling = Some "W"; req_id = None }))
+                { path = core_path; key = "static_power"; value; unit_spelling = Some "W"; req_id = None }))
       in
+      let n_edits = 1000 in
+      for i = 1 to n_edits do
+        let r = edit (string_of_int (1 + (i mod 40))) in
+        if r <> rev + i then Alcotest.failf "edit %d landed at revision %d" i r
+      done;
+      Alcotest.(check int64) "pinned read over the wire" pinned (static_power rev);
+      (match Client.request c1 (Protocol.EditsSince rev) with
+      | Protocol.Ok (Protocol.Edits l) ->
+          Alcotest.(check int) "journal past the pin replayable" n_edits (List.length l)
+      | r -> Alcotest.failf "EditsSince answered %a" Protocol.pp_response r);
+      Alcotest.(check bool) "head moved" false (Int64.equal pinned (static_power (-1)));
+      Alcotest.(check bool)
+        "subscribe" true
+        (Client.request c1 Protocol.Subscribe = Protocol.Ok Protocol.Unit);
+      let new_rev = edit "11" in
       Alcotest.(check bool) "revision advanced" true (new_rev > rev);
-      Alcotest.(check int64) "pinned read over the wire" pinned
-        (ok_float_bits (Client.request c1 (Protocol.Query { rev; q = "static-power" })));
       (* the subscribed client receives the other client's edit *)
       (match Client.wait_events c1 1 with
       | [ ev ] ->

@@ -3,12 +3,7 @@
 
 open Xpdl_simhw
 
-let repo = lazy (Xpdl_repo.Repo.load_bundled ())
-
-let model name =
-  match Xpdl_repo.Repo.compose_by_name (Lazy.force repo) name with
-  | Ok c -> c.Xpdl_repo.Repo.model
-  | Error msg -> Alcotest.failf "compose %s: %s" name msg
+let model = Testlib.model
 
 let liu = lazy (model "liu_gpu_server")
 

@@ -11,12 +11,8 @@ module Query = Xpdl_query.Query
 module Pipeline = Xpdl_toolchain.Pipeline
 module Splice = Xpdl_compose.Splice
 
-let repo = lazy (Xpdl_repo.Repo.load_bundled ())
-
-let model name =
-  match Xpdl_repo.Repo.compose_by_name (Lazy.force repo) name with
-  | Ok c -> c.Xpdl_repo.Repo.model
-  | Error msg -> Alcotest.failf "compose %s: %s" name msg
+let repo = Testlib.repo
+let model = Testlib.model
 
 let case name f = Alcotest.test_case name `Quick f
 let approx = Alcotest.float 1e-9

@@ -3,12 +3,8 @@
 
 open Xpdl_toolchain
 
-let repo = lazy (Xpdl_repo.Repo.load_bundled ())
-
-let model name =
-  match Xpdl_repo.Repo.compose_by_name (Lazy.force repo) name with
-  | Ok c -> c.Xpdl_repo.Repo.model
-  | Error msg -> Alcotest.failf "compose %s: %s" name msg
+let repo = Testlib.repo
+let model = Testlib.model
 
 let liu_ir = lazy (Ir.of_model (model "liu_gpu_server"))
 
@@ -507,8 +503,7 @@ let test_pipeline_emits_drivers () =
   | Ok _ ->
       Alcotest.(check bool) "drivers written" true
         (Sys.file_exists (Filename.concat dir "fadd.c")));
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Sys.rmdir dir
+  Xpdl_kernel.remove_tree dir
 
 let test_pipeline_to_file_and_query () =
   let out = Filename.temp_file "xpdl" ".xrt" in
