@@ -125,11 +125,7 @@ let run_isa ?(opts = default_options) machine (isa : Power.isa) (suites : Power.
               (hz, s.Stats.mean))
             sweep_freqs
         in
-        (* restore nominal clocks after a sweep *)
-        if sweep_freqs <> [] then
-          Array.iter
-            (fun c -> c.Xpdl_simhw.Machine.hz <- c.Xpdl_simhw.Machine.nominal_hz)
-            machine.Xpdl_simhw.Machine.cores;
+        if sweep_freqs <> [] then Xpdl_simhw.Machine.restore_nominal_clocks machine;
         Some
           {
             instruction = i.Power.in_name;

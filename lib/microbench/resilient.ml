@@ -274,9 +274,6 @@ let data_row (hz, j) =
 let current_hz machine =
   if Array.length machine.Machine.cores = 0 then 1.0e9 else machine.Machine.cores.(0).Machine.hz
 
-let restore_clocks machine =
-  Array.iter (fun c -> c.Machine.hz <- c.Machine.nominal_hz) machine.Machine.cores
-
 let run_store ?(policy = default_policy) ?machine (store : Store.t) : health =
   let model = Store.model store in
   let machine = match machine with Some m -> m | None -> Machine.create model in
@@ -432,7 +429,7 @@ let run_store ?(policy = default_policy) ?machine (store : Store.t) : health =
                   end)
                 policy.frequencies
             in
-            restore_clocks machine;
+            Machine.restore_nominal_clocks machine;
             pts
           end
         in

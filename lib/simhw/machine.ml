@@ -45,12 +45,20 @@ type t = {
   mem_access_time : float;  (** s per memory access *)
   rng : Rng.t;
   mutable faults : Faults.plan option;  (** attached fault-injection plan *)
+  latencies : (string, int) Hashtbl.t;
+      (** instruction → declared latency (cycles), from the first ISA in
+          model order that gives it one *)
 }
 
-let path_ident prefix (e : Model.element) fallback =
-  match Model.identifier e with
-  | Some i -> if prefix = "" then i else prefix ^ "/" ^ i
-  | None -> if prefix = "" then fallback else prefix ^ "/" ^ fallback
+(* An element without name or id is named after its kind and [counter];
+   the fallback is built only for those. *)
+let path_ident prefix (e : Model.element) ~counter =
+  let i =
+    match Model.identifier e with
+    | Some i -> i
+    | None -> Schema.tag_of_kind e.kind ^ string_of_int counter
+  in
+  if prefix = "" then i else prefix ^ "/" ^ i
 
 (* Collect cores with their path identifiers and clock frequencies. *)
 let collect_cores (root : Model.element) : core list =
@@ -59,7 +67,7 @@ let collect_cores (root : Model.element) : core list =
   let rec walk prefix (e : Model.element) =
     if Model.is_metadata_subtree e.kind then ()
     else begin
-    let ident = path_ident prefix e (Schema.tag_of_kind e.kind ^ string_of_int !counter) in
+    let ident = path_ident prefix e ~counter:!counter in
     (if Schema.equal_kind e.kind Schema.Core then begin
        incr counter;
        let hz =
@@ -178,12 +186,20 @@ let create ?(seed = 42) ?(noise_sigma = 0.02) (model : Model.element) : t =
     | isa :: _ -> Truth.of_isa ~noise_sigma isa
     | [] -> Truth.synthetic ~noise_sigma ()
   in
-  (* register every ISA's concrete entries *)
+  (* register every ISA's concrete entries; an instruction's first
+     declared latency, in model order, wins *)
+  let latencies = Hashtbl.create 64 in
   List.iter
     (fun isa ->
       let t2 = Truth.of_isa ~noise_sigma isa in
       Hashtbl.iter (Hashtbl.replace truth.Truth.base_energy) t2.Truth.base_energy;
-      Hashtbl.iter (Hashtbl.replace truth.Truth.tables) t2.Truth.tables)
+      Hashtbl.iter (Hashtbl.replace truth.Truth.tables) t2.Truth.tables;
+      List.iter
+        (fun (i : Power.instruction) ->
+          match i.in_latency with
+          | Some l when not (Hashtbl.mem latencies i.in_name) -> Hashtbl.add latencies i.in_name l
+          | _ -> ())
+        isa.Power.isa_instructions)
     isas;
   let mem_access_energy, mem_access_time = mean_memory_costs model in
   {
@@ -196,6 +212,7 @@ let create ?(seed = 42) ?(noise_sigma = 0.02) (model : Model.element) : t =
     mem_access_time;
     rng = Rng.create ~seed;
     faults = None;
+    latencies;
   }
 
 let core_count t = Array.length t.cores
@@ -268,6 +285,9 @@ let set_frequency ?within t hz =
       if applies then c.hz <- hz)
     t.cores
 
+(** Return every core to its nominal clock, undoing {!set_frequency}. *)
+let restore_nominal_clocks t = Array.iter (fun c -> c.hz <- c.nominal_hz) t.cores
+
 (** {1 Workload execution} *)
 
 (** A workload is a bag of instruction executions plus memory traffic. *)
@@ -290,20 +310,10 @@ type measurement = {
 
 (* True (noise-free) serial cost of a workload on [core]. *)
 let true_serial_cost t (core : core) (w : workload) =
-  let declared_latency name =
-    let isas = (Power.of_element t.model).pm_isas in
-    List.find_map
-      (fun isa ->
-        List.find_map
-          (fun (i : Power.instruction) ->
-            if String.equal i.in_name name then i.in_latency else None)
-          isa.Power.isa_instructions)
-      isas
-  in
   let cycles, energy =
     List.fold_left
       (fun (cy, en) (name, count) ->
-        let lat = Truth.latency_cycles ~declared:(declared_latency name) name in
+        let lat = Truth.latency_cycles ~declared:(Hashtbl.find_opt t.latencies name) name in
         ( cy +. (float_of_int count *. float_of_int lat),
           en +. (float_of_int count *. Truth.energy t.truth ~name ~hz:core.hz) ))
       (0., 0.) w.instructions

@@ -35,6 +35,11 @@ type t = {
   mem_access_time : float;  (** s per memory access *)
   rng : Rng.t;
   mutable faults : Faults.plan option;  (** attached fault-injection plan *)
+  latencies : (string, int) Hashtbl.t;
+      (** instruction → declared latency in cycles, extracted once by
+          {!create}: the first ISA in model order that declares the
+          instruction with a latency gives it.  Instructions absent here
+          get {!Truth.latency_cycles}' synthesized value. *)
 }
 
 (** Sum of declared [static_power] over all physical hardware. *)
@@ -68,6 +73,10 @@ val find_link : t -> string -> link option
     when omitted) — the effect of a DVFS power-state switch. *)
 val set_frequency : ?within:string -> t -> float -> unit
 
+(** Return every core to its nominal clock, undoing {!set_frequency}
+    (a bootstrap's frequency sweep ends with this). *)
+val restore_nominal_clocks : t -> unit
+
 (** A workload: a bag of instruction executions plus memory traffic. *)
 type workload = {
   instructions : (string * int) list;  (** instruction name → count *)
@@ -87,7 +96,10 @@ type measurement = {
 }
 
 (** Execute on the core identified by [core] (default: first core);
-    [cores_used] spreads the parallel fraction (Amdahl).  Raises
+    [cores_used] spreads the parallel fraction (Amdahl).  Pricing a run
+    costs O(instructions in the workload), independent of the size of
+    the model: declared latencies come from [latencies], not from a
+    walk of the model.  Raises
     [Invalid_argument] on an unknown core or a core-less machine,
     [Faults.Core_offline] on a core a fault plan took down, and
     [Faults.Meter_timeout] on a hung meter read. *)

@@ -130,6 +130,23 @@ let test_parallel_byte_identical () =
   let s1 = run_quick ~config:(cfg 1) tmpl and s4 = run_quick ~config:(cfg 4) tmpl in
   Alcotest.(check string) "sampled sweep too" (Dse.report_to_json s1) (Dse.report_to_json s4)
 
+(* The committed template's report at the CLI defaults, pinned across
+   commits by its [Xpdl_kernel.checksum]: an output-neutral change to
+   the simulator or the sweep engine must keep it.  The template is
+   parsed under its repository-relative name, so the value is also the
+   checksum of [xpdltool dse --template examples/spmv_sweep.xpdl
+   --format json] run from the repository root, minus its "timing"
+   member. *)
+let test_example_sweep_golden () =
+  let src = In_channel.with_open_bin template_path In_channel.input_all in
+  let xml = Xpdl_xml.Parse.string_exn ~file:"examples/spmv_sweep.xpdl" ~lenient:true src in
+  let tmpl = fst (Elaborate.of_xml xml) in
+  match Dse.run ~config:Dse.default_config tmpl with
+  | Error d -> Alcotest.failf "sweep refused: %a" Diagnostic.pp d
+  | Ok r ->
+      Alcotest.(check int) "report fingerprint" 429115873174896891
+        (Xpdl_kernel.checksum (Dse.report_to_json r))
+
 (* ------------------------------------------------------------------ *)
 (* Pruning: range and constraint edge cases under sweeping *)
 
@@ -298,6 +315,7 @@ let () =
           Alcotest.test_case "template axes" `Quick test_example_axes;
           Alcotest.test_case "3-axis SpMV sweep" `Quick test_example_sweep;
           Alcotest.test_case "jobs=4 byte-identical" `Quick test_parallel_byte_identical;
+          Alcotest.test_case "golden report at CLI defaults" `Quick test_example_sweep_golden;
         ] );
       ( "pruning",
         [

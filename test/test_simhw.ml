@@ -205,6 +205,53 @@ let test_transfer_deterministic () =
     (Machine.transfer a ~link:"connection1" ~bytes:123_456)
     (Machine.transfer b ~link:"connection1" ~bytes:123_456)
 
+(* The latency a run is priced with: the first ISA in model order that
+   declares the instruction with a latency wins, and an instruction no
+   ISA gives a latency gets Truth's synthesized one. *)
+let test_declared_latency_rule () =
+  let src =
+    {|<system name="s">
+        <cpu name="c">
+          <core name="k0" frequency="1" frequency_unit="GHz"/>
+          <power_model name="pm">
+            <instructions name="first">
+              <inst name="fmul" latency="3"/>
+              <inst name="fdiv"/>
+            </instructions>
+            <instructions name="second">
+              <inst name="fmul" latency="7"/>
+              <inst name="fdiv" latency="11"/>
+            </instructions>
+          </power_model>
+        </cpu>
+      </system>|}
+  in
+  let m = Machine.create ~noise_sigma:0. (Xpdl_core.Elaborate.of_string_exn src) in
+  let cycles name =
+    let r = Machine.run m (Kernels.single_instruction ~name ~iterations:1000) in
+    r.Machine.elapsed *. 1e9 /. 1000.
+  in
+  Alcotest.(check (float 1e-9)) "first ISA wins" 3. (cycles "fmul");
+  Alcotest.(check (float 1e-9)) "latency-less entry skipped" 11. (cycles "fdiv");
+  Alcotest.(check (float 1e-9)) "undeclared is synthesized"
+    (float_of_int (Truth.latency_cycles "xor"))
+    (cycles "xor")
+
+(* Pricing a run reads per-machine tables, not the model: a warm
+   single-instruction run allocates the same handful of words on a
+   2,500-core server and on the 21k-core cluster. *)
+let test_run_allocation_size_independent () =
+  List.iter
+    (fun name ->
+      let m = Machine.create (model name) in
+      let w = Kernels.single_instruction ~name:"fadd" ~iterations:1000 in
+      ignore (Machine.run m w);
+      let before = Gc.minor_words () in
+      ignore (Sys.opaque_identity (Machine.run m w));
+      let words = Gc.minor_words () -. before in
+      if words >= 1000. then Alcotest.failf "%s: one run allocated %.0f minor words" name words)
+    [ "liu_gpu_server"; "XScluster" ]
+
 (* ------------------------------------------------------------------ *)
 (* Kernels *)
 
@@ -282,6 +329,8 @@ let () =
           case "idle power meter" test_idle_power_sampling;
           case "scoped set_frequency" test_set_frequency_scoped;
           case "deterministic transfers" test_transfer_deterministic;
+          case "declared latency rule" test_declared_latency_rule;
+          case "run allocation size-independent" test_run_allocation_size_independent;
         ] );
       ( "kernels",
         [

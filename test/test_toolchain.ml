@@ -514,6 +514,36 @@ let test_pipeline_to_file_and_query () =
       Alcotest.(check bool) "loadable" true (Ir.find_by_ident ir "mv153board" <> None));
   Sys.remove out
 
+(* Fingerprints of every bundled system's runtime model, with and
+   without the microbenchmark bootstrap, as [Xpdl_kernel.checksum] of
+   the encoded image.  They pin the simulator's measurements and the
+   codec across commits: a change that should be output-neutral must
+   keep every value. *)
+let golden_fingerprints =
+  [
+    ("liu_gpu_server", 3544461698540577417, 858798540887829610);
+    ("myriad_server", 4575958477153861636, 3594253581888786495);
+    ("odroid_xu3", 2860004422263850381, 2926441340443566478);
+    ("phi_server", 1349096894039204987, 1262097015977766282);
+    ("XScluster", 1967685124131738419, 1309637795627497388);
+    ("excess_cluster", 1825151340060227625, 3160541776413127105);
+  ]
+
+let test_pipeline_golden_fingerprints () =
+  let fingerprint ~run_bootstrap system =
+    let config = { Pipeline.default_config with run_bootstrap } in
+    match Pipeline.run ~config ~repo:(Lazy.force repo) ~system () with
+    | Error msg -> Alcotest.failf "%s: %s" system msg
+    | Ok report -> Xpdl_kernel.checksum (Ir.to_bytes report.Pipeline.runtime_model)
+  in
+  List.iter
+    (fun (system, bootstrapped, plain) ->
+      Alcotest.(check int) (system ^ " bootstrapped") bootstrapped
+        (fingerprint ~run_bootstrap:true system);
+      Alcotest.(check int) (system ^ " without bootstrap") plain
+        (fingerprint ~run_bootstrap:false system))
+    golden_fingerprints
+
 (* ------------------------------------------------------------------ *)
 (* C++ codegen *)
 
@@ -578,6 +608,7 @@ let () =
           case "unknown system" test_pipeline_unknown_system;
           case "driver emission" test_pipeline_emits_drivers;
           case "file output + reload" test_pipeline_to_file_and_query;
+          case "golden fingerprints" test_pipeline_golden_fingerprints;
         ] );
       ("cpp", [ case "generated header" test_cpp_header ]);
     ]
