@@ -99,7 +99,6 @@ let registry : (string * severity * string) list =
     ("XPDL402", Error, "store structural edit is invalid (bad child index)");
     ("XPDL403", Error, "store edit value cannot be elaborated");
     ("XPDL404", Error, "store unpin of a revision that is not pinned");
-    ("XPDL410", Info, "store edit journal compacted; incremental view rebuilt from scratch");
     (* XPDL5xx — deployment-bootstrap robustness *)
     ("XPDL500", Error, "microbenchmark harness internal error (uncaught simulator exception)");
     ("XPDL501", Warning, "meter read timed out");

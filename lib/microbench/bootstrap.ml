@@ -100,7 +100,7 @@ let iterations_for (suites : Power.suite list) mb_id =
 
 (** Run the bootstrap for one ISA on [machine]: measures every
     [To_benchmark] instruction (all of them when [opts.force]). *)
-let run_isa ?(opts = default_options) machine (isa : Power.isa) (suites : Power.suite list) :
+let run_isa ~opts machine (isa : Power.isa) (suites : Power.suite list) :
     result list =
   let needs_measuring (i : Power.instruction) =
     opts.force || match i.Power.in_energy with Power.To_benchmark -> true | _ -> false
@@ -111,11 +111,7 @@ let run_isa ?(opts = default_options) machine (isa : Power.isa) (suites : Power.
       else begin
         let mb = benchmark_for suites i in
         let iterations = iterations_for suites mb in
-        let sweep_freqs =
-          match opts.frequencies with
-          | [] -> []
-          | fs -> fs
-        in
+        let sweep_freqs = opts.frequencies in
         let current = measure machine ~opts ~name:i.Power.in_name ~iterations in
         let per_frequency =
           List.map
@@ -182,7 +178,7 @@ let apply_results (results : result list) (root : Model.element) : Model.element
     bandwidth term is negligible at that size), and the means replace the
     placeholders on every channel of the link. *)
 
-let resolve_link_offsets ?(opts = default_options) machine (root : Model.element) :
+let resolve_link_offsets ~opts machine (root : Model.element) :
     Model.element =
   let measure_offsets link =
     let samples =
@@ -242,98 +238,6 @@ let run ?(opts = default_options) ?machine (root : Model.element) :
   in
   let root = resolve_link_offsets ~opts machine root in
   (apply_results results root, results)
-
-(** {1 Store-backed bootstrap}
-
-    The same derivations expressed as edits against an incremental
-    {!Xpdl_store.Store}: every written value journals an edit and
-    invalidates the store's derived caches along its spine, so a session
-    holding the store re-derives only what the bootstrap touched.  On
-    the same machine the resulting model is identical to the batch
-    {!run} — the measurement order is preserved, and writes land on the
-    same elements in the same order. *)
-
-module Store = Xpdl_store.Store
-
-let apply_results_store (results : result list) (store : Store.t) : unit =
-  let find_result name = List.find_opt (fun r -> String.equal r.instruction name) results in
-  let paths =
-    Store.find_paths store (fun e ->
-        Schema.equal_kind e.Model.kind Schema.Instruction
-        && Option.bind (Model.identifier e) find_result <> None)
-  in
-  List.iter
-    (fun path ->
-      let e = Option.get (Store.element_at store path) in
-      match Option.bind (Model.identifier e) find_result with
-      | None -> ()
-      | Some r ->
-          Store.set_attr store path "energy" (joules_attr r.energy.Stats.mean);
-          (* appended in sweep order: same layout as the batch rewrite *)
-          List.iter
-            (fun (hz, j) ->
-              Store.insert_child store path
-                (Model.make Schema.Data
-                   ~attrs:
-                     [
-                       ("frequency", Model.Quantity (Xpdl_units.Units.hertz hz, "GHz"));
-                       ("energy", joules_attr j);
-                     ]))
-            r.per_frequency)
-    paths
-
-let resolve_link_offsets_store ?(opts = default_options) machine (store : Store.t) : unit =
-  let measure_offsets link =
-    let samples =
-      List.init opts.repetitions (fun _ ->
-          Xpdl_simhw.Machine.transfer machine ~link ~bytes:1)
-    in
-    (Stats.mean (List.map fst samples), Stats.mean (List.map snd samples))
-  in
-  let paths =
-    Store.find_paths store (fun e ->
-        Schema.equal_kind e.Model.kind Schema.Interconnect
-        && (match Model.identifier e with
-           | Some link -> Xpdl_simhw.Machine.find_link machine link <> None
-           | None -> false)
-        && List.exists
-             (fun (ch : Model.element) ->
-               Model.attr_is_unknown ch "time_offset_per_message"
-               || Model.attr_is_unknown ch "energy_offset_per_message")
-             (Model.children_of_kind e Schema.Channel))
-  in
-  List.iter
-    (fun path ->
-      let e = Option.get (Store.element_at store path) in
-      let link = Option.get (Model.identifier e) in
-      let toff, eoff = measure_offsets link in
-      List.iteri
-        (fun i (ch : Model.element) ->
-          if Schema.equal_kind ch.Model.kind Schema.Channel then begin
-            let chpath = path @ [ i ] in
-            if Model.attr_is_unknown ch "time_offset_per_message" then
-              Store.set_attr store chpath "time_offset_per_message"
-                (Model.Quantity (Xpdl_units.Units.seconds toff, "ns"));
-            if Model.attr_is_unknown ch "energy_offset_per_message" then
-              Store.set_attr store chpath "energy_offset_per_message"
-                (Model.Quantity (Xpdl_units.Units.joules eoff, "pJ"))
-          end)
-        e.Model.children)
-    paths
-
-(** Full bootstrap through a store: measurements run in the batch
-    {!run}'s order, results are written as store edits. *)
-let run_store ?(opts = default_options) ?machine (store : Store.t) : result list =
-  let machine =
-    match machine with Some m -> m | None -> Xpdl_simhw.Machine.create (Store.model store)
-  in
-  let pm = Power.of_element (Store.model store) in
-  let results =
-    List.concat_map (fun isa -> run_isa ~opts machine isa pm.Power.pm_suites) pm.Power.pm_isas
-  in
-  resolve_link_offsets_store ~opts machine store;
-  apply_results_store results store;
-  results
 
 (** Instructions still unresolved after a bootstrap (should be empty). *)
 let remaining_placeholders (root : Model.element) : string list =

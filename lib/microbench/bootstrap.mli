@@ -51,22 +51,6 @@ val benchmark_for : Power.suite list -> Power.instruction -> string
 (** Declared iteration count of a microbenchmark (default 100_000). *)
 val iterations_for : Power.suite list -> string -> int
 
-(** Bootstrap one ISA. *)
-val run_isa :
-  ?opts:options ->
-  Xpdl_simhw.Machine.t ->
-  Power.isa ->
-  Power.suite list ->
-  result list
-
-(** Write derived entries back into the model tree, replacing the ["?"]
-    placeholders. *)
-val apply_results : result list -> Model.element -> Model.element
-
-(** Calibrate interconnect-channel ["?"] offsets on the machine. *)
-val resolve_link_offsets :
-  ?opts:options -> Xpdl_simhw.Machine.t -> Model.element -> Model.element
-
 (** Full bootstrap of a composed model: instruction energies and link
     offsets.  [machine] defaults to a machine built from the model. *)
 val run :
@@ -74,26 +58,6 @@ val run :
   ?machine:Xpdl_simhw.Machine.t ->
   Model.element ->
   Model.element * result list
-
-(** {1 Store-backed bootstrap}
-
-    The same derivations as edits against an incremental
-    {!Xpdl_store.Store}: each written value journals an edit and
-    invalidates the store's derived caches along its spine.  On the same
-    machine the final model is identical to the batch {!run}. *)
-
-(** Write derived instruction energies (and per-frequency [<data>] rows)
-    through the store's edit API. *)
-val apply_results_store : result list -> Xpdl_store.Store.t -> unit
-
-(** Calibrate ["?"] channel offsets, writing through the store. *)
-val resolve_link_offsets_store :
-  ?opts:options -> Xpdl_simhw.Machine.t -> Xpdl_store.Store.t -> unit
-
-(** Full bootstrap through a store (instruction energies + link offsets);
-    returns the per-instruction results. *)
-val run_store :
-  ?opts:options -> ?machine:Xpdl_simhw.Machine.t -> Xpdl_store.Store.t -> result list
 
 (** Instructions still unresolved (empty after a successful bootstrap). *)
 val remaining_placeholders : Model.element -> string list

@@ -28,7 +28,6 @@
 
 open Xpdl_core
 module Ir = Xpdl_toolchain.Ir
-module Analysis = Xpdl_toolchain.Analysis
 module Path = Xpdl_xml.Path
 module Store = Xpdl_store.Store
 
@@ -89,7 +88,7 @@ let memoize lock tbl key compute =
    the former throw-away-the-handle-on-reload discipline. *)
 type origin =
   | Fixed
-  | Tracked of { store : Store.t; drop : string list; mutable synced_rev : int }
+  | Tracked of { store : Store.t; mutable synced_rev : int }
 
 (* [lock] serializes memo-table access and journal synchronization so
    several domains can read one handle concurrently (snapshot serving).
@@ -140,10 +139,6 @@ let invalidate_at t j =
   prune_covering t.ir m.mc_frequencies j;
   m.mc_installed <- None
 
-let ir_of_store ~drop store =
-  let m = Store.model store in
-  Ir.of_model (if drop = [] then m else Analysis.filter_attributes ~drop m)
-
 (* Bring a [Tracked] handle up to its store's revision.  Attribute-only
    edit runs are replayed as in-place patches (index paths recorded in
    the journal stay valid because the tree shape did not change); any
@@ -157,25 +152,20 @@ let sync_locked t =
       let rev = Store.revision tr.store in
       if rev <> tr.synced_rev then begin
         let rebuild () =
-          t.ir <- ir_of_store ~drop:tr.drop tr.store;
+          t.ir <- Ir.of_model (Store.model tr.store);
           reset_derived_memo t.memo
         in
         let apply (ed : Store.edit) =
           match ed.Store.e_kind with
           | Store.Structure -> raise_notrace Exit
-          | Store.Attr key ->
-              if not (List.mem key tr.drop) then (
-                match
-                  (index_of_path t.ir ed.Store.e_path, Store.element_at tr.store ed.Store.e_path)
-                with
-                | Some i, Some e ->
-                    let attrs =
-                      if tr.drop = [] then e.Model.attrs
-                      else List.filter (fun (k, _) -> not (List.mem k tr.drop)) e.Model.attrs
-                    in
-                    Ir.patch_attrs t.ir i attrs;
-                    invalidate_at t i
-                | _ -> raise_notrace Exit)
+          | Store.Attr _ -> (
+              match
+                (index_of_path t.ir ed.Store.e_path, Store.element_at tr.store ed.Store.e_path)
+              with
+              | Some i, Some e ->
+                  Ir.patch_attrs t.ir i e.Model.attrs;
+                  invalidate_at t i
+              | _ -> raise_notrace Exit)
         in
         (match Store.edits_since tr.store tr.synced_rev with
         | Some edits -> ( try List.iter apply edits with Exit -> rebuild ())
@@ -232,15 +222,15 @@ let of_model ?(source = "<model>") m =
 
 (** Follow an incremental model store: the handle lazily consumes the
     store's edit journal instead of being thrown away on every change. *)
-let of_store ?(drop = []) ?source store =
+let of_store ?source store =
   let source =
     match source with Some s -> s | None -> Fmt.str "<store@%d>" (Store.revision store)
   in
   {
-    ir = ir_of_store ~drop store;
+    ir = Ir.of_model (Store.model store);
     source;
     memo = fresh_memo ();
-    origin = Tracked { store; drop; synced_rev = Store.revision store };
+    origin = Tracked { store; synced_rev = Store.revision store };
     lock = Mutex.create ();
   }
 

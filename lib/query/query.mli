@@ -48,15 +48,12 @@ val of_ir : ?source:string -> Ir.t -> t
 (** Build directly from a composed model element (tools, tests). *)
 val of_model : ?source:string -> Model.element -> t
 
-(** Follow an incremental model store.  [drop] lists attribute names
-    filtered out of the runtime view (cf.
-    {!Xpdl_toolchain.Analysis.filter_attributes}); edits to dropped
-    attributes are invisible to the handle.  The handle synchronizes
+(** Follow an incremental model store.  The handle synchronizes
     lazily: attribute-only edit runs are replayed as in-place IR patches
     with span-targeted memo eviction; structural edits and journal
     compaction rebuild the IR.  Element handles obtained before an edit
     are snapshots — re-fetch them after editing. *)
-val of_store : ?drop:string list -> ?source:string -> Xpdl_store.Store.t -> t
+val of_store : ?source:string -> Xpdl_store.Store.t -> t
 
 (** A fixed handle frozen at the handle's current revision: a tracked
     handle is synchronized first, then its IR is {!Ir.freeze}d and its

@@ -245,14 +245,24 @@ let meter t ~target v =
       deliver ();
       v'
 
+let rec suffix_equal s ~off ident k =
+  k >= String.length ident || (s.[off + k] = ident.[k] && suffix_equal s ~off ident (k + 1))
+
+(* [ident] names [core_ident] in full or as the component after its last
+   '/'; compared in place, so a lookup allocates nothing per core. *)
+let names_core core_ident ident =
+  let n = String.length core_ident and m = String.length ident in
+  String.equal core_ident ident
+  || (m > 0 && m < n
+     && core_ident.[n - m - 1] = '/'
+     && (not (String.contains ident '/'))
+     && suffix_equal core_ident ~off:(n - m) ident 0)
+
 let find_core t ident =
   let n = Array.length t.cores in
   let rec scan i =
     if i >= n then None
-    else if
-      String.equal t.cores.(i).core_ident ident
-      || Filename.basename t.cores.(i).core_ident = ident
-    then Some t.cores.(i)
+    else if names_core t.cores.(i).core_ident ident then Some t.cores.(i)
     else scan (i + 1)
   in
   scan 0

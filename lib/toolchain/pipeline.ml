@@ -18,11 +18,6 @@ type config = {
   parameter_config : Instantiate.env;  (** deployment-time param choices *)
   run_bootstrap : bool;  (** microbenchmark the ["?"] entries *)
   bootstrap_opts : Xpdl_microbench.Bootstrap.options;
-  resilient_bootstrap : bool;  (** use the fault-tolerant harness *)
-  bootstrap_policy : Xpdl_microbench.Resilient.policy;  (** retry/deadline policy *)
-  bootstrap_faults : (int * float) option;
-      (** attach a [Faults] plan (seed, per-read rate) to the bootstrap
-          machine — forces the resilient harness *)
   filter_drop : string list;  (** attributes filtered from the runtime model *)
   emit_drivers_to : string option;  (** directory for generated driver code *)
   machine_seed : int;
@@ -34,9 +29,6 @@ let default_config =
     parameter_config = [];
     run_bootstrap = true;
     bootstrap_opts = Xpdl_microbench.Bootstrap.default_options;
-    resilient_bootstrap = false;
-    bootstrap_policy = Xpdl_microbench.Resilient.default_policy;
-    bootstrap_faults = None;
     filter_drop = Analysis.default_filtered;
     emit_drivers_to = None;
     machine_seed = 42;
@@ -51,8 +43,6 @@ type report = {
   diagnostics : Diagnostic.t list;
   link_reports : Analysis.link_report list;
   bootstrap_results : Xpdl_microbench.Bootstrap.result list;
-  bootstrap_health : Xpdl_microbench.Resilient.health option;
-      (** attempt/fallback/quarantine account of a resilient bootstrap *)
   descriptors_used : string list;
   timings : stage_timing list;
   runtime_model_bytes : int;
@@ -99,63 +89,28 @@ let run ?(config = default_config) ?repo ~system () : (report, string) result =
               List.iter
                 (fun suite -> ignore (Xpdl_microbench.Driver.emit_suite ~dir suite))
                 pm.Power.pm_suites));
-      (* deployment-time bootstrap of unspecified energy entries.  The
-         resilient harness degrades gracefully on meter faults; the plain
-         batch path is kept bit-identical for fault-free configs, but is
-         guarded so a broken machine degrades the model instead of
-         killing the pipeline. *)
-      let model, bootstrap_results, bootstrap_health =
-        if not config.run_bootstrap then (model, [], None)
-        else if config.resilient_bootstrap || config.bootstrap_faults <> None then
-          timed timings "bootstrap" (fun () ->
-              let machine = Xpdl_simhw.Machine.create ~seed:config.machine_seed model in
-              (match config.bootstrap_faults with
-              | Some (seed, rate) ->
-                  Xpdl_simhw.Machine.inject_faults machine
-                    (Xpdl_simhw.Faults.create ~seed ~rate ())
-              | None -> ());
-              let model, health =
-                Xpdl_microbench.Resilient.run ~policy:config.bootstrap_policy ~machine model
-              in
-              diags := !diags @ health.Xpdl_microbench.Resilient.h_diags;
-              let results =
-                List.filter_map
-                  (fun (b : Xpdl_microbench.Resilient.bench) ->
-                    match b.Xpdl_microbench.Resilient.b_stats with
-                    | Some energy ->
-                        Some
-                          {
-                            Xpdl_microbench.Bootstrap.instruction =
-                              b.Xpdl_microbench.Resilient.b_instruction;
-                            benchmark = b.Xpdl_microbench.Resilient.b_benchmark;
-                            energy;
-                            per_frequency = b.Xpdl_microbench.Resilient.b_sweep;
-                            runs =
-                              List.length b.Xpdl_microbench.Resilient.b_attempts
-                              + List.length b.Xpdl_microbench.Resilient.b_sweep;
-                          }
-                    | None -> None)
-                  health.Xpdl_microbench.Resilient.h_benches
-              in
-              (model, results, Some health))
+      (* deployment-time bootstrap of unspecified energy entries, guarded
+         so a broken machine degrades the model instead of killing the
+         pipeline *)
+      let model, bootstrap_results =
+        if not config.run_bootstrap then (model, [])
         else
           timed timings "bootstrap" (fun () ->
               let machine = Xpdl_simhw.Machine.create ~seed:config.machine_seed model in
-              match Xpdl_microbench.Bootstrap.run ~opts:config.bootstrap_opts ~machine model with
-              | model, results -> (model, results, None)
-              | exception e ->
-                  (* a hung meter or a dead core must not abort the
-                     composition: keep the un-bootstrapped model, account
-                     for the failure, and let XPDL310 flag the leftovers *)
-                  diags :=
-                    !diags
-                    @ [
-                        Diagnostic.error ~code:"XPDL500"
-                          "microbenchmark bootstrap failed (%s); continuing with unresolved \
-                           entries"
-                          (Printexc.to_string e);
-                      ];
-                  (model, [], None))
+              try Xpdl_microbench.Bootstrap.run ~opts:config.bootstrap_opts ~machine model
+              with e ->
+                (* a hung meter or a dead core must not abort the
+                   composition: keep the un-bootstrapped model, account
+                   for the failure, and let XPDL310 flag the leftovers *)
+                diags :=
+                  !diags
+                  @ [
+                      Diagnostic.error ~code:"XPDL500"
+                        "microbenchmark bootstrap failed (%s); continuing with unresolved \
+                         entries"
+                        (Printexc.to_string e);
+                    ];
+                (model, []))
       in
       (match Xpdl_microbench.Bootstrap.remaining_placeholders model with
       | [] -> ()
@@ -183,7 +138,6 @@ let run ?(config = default_config) ?repo ~system () : (report, string) result =
           diagnostics = !diags;
           link_reports;
           bootstrap_results;
-          bootstrap_health;
           descriptors_used = composed.Xpdl_repo.Repo.descriptors_used;
           timings = List.rev !timings;
           runtime_model_bytes = String.length bytes;
@@ -199,186 +153,3 @@ let run_to_file ?config ?repo ~system ~output () =
 
 let pp_timings ppf timings =
   List.iter (fun t -> Fmt.pf ppf "  %-16s %8.3f ms@." t.stage (t.seconds *. 1e3)) timings
-
-(** {1 Incremental sessions}
-
-    A session keeps the pipeline's output alive across model edits: the
-    analyzed, bootstrapped model lives in an {!Xpdl_store.Store} and the
-    runtime IR is maintained alongside it.  {!refresh} re-runs only the
-    stages an edit actually dirtied — the bandwidth analysis only when a
-    bandwidth-relevant attribute or the tree shape changed (and then by
-    writing annotation {e deltas} back through the store's edit API, so
-    the store's own derived caches invalidate along the edit spines),
-    and the runtime model by patching attribute edits into the IR nodes
-    in place; only structural edits or a compacted journal rebuild it. *)
-
-module Store = Xpdl_store.Store
-
-type session = {
-  s_config : config;
-  s_system : string;
-  s_store : Store.t;
-  mutable s_synced_rev : int;  (** store revision the IR/analysis reflect *)
-  mutable s_ir : Ir.t;
-  mutable s_link_reports : Analysis.link_report list;
-}
-
-let session_store s = s.s_store
-let session_system s = s.s_system
-let session_model s = Store.model s.s_store
-let session_ir s = s.s_ir
-let session_link_reports s = s.s_link_reports
-
-let open_session ?(config = default_config) ?repo ~system () =
-  match run ~config ?repo ~system () with
-  | Error _ as e -> e
-  | Ok report ->
-      Ok
-        ( {
-            s_config = config;
-            s_system = system;
-            s_store = Store.of_model report.model;
-            s_synced_rev = 0;
-            s_ir = report.runtime_model;
-            s_link_reports = report.link_reports;
-          },
-          report )
-
-(* Attributes whose edits can change an interconnect's effective
-   bandwidth: the channels' and endpoints' declared bandwidths, the
-   link's endpoints, and a directly overwritten annotation (re-analysis
-   normalizes it back). *)
-let bandwidth_relevant = [ "bandwidth"; "max_bandwidth"; "head"; "tail"; "effective_bandwidth" ]
-
-(* Re-run the (idempotent) bandwidth analysis and write only the changed
-   annotations back through the store's edit API. *)
-let annotate_bandwidths_via_store store =
-  let _, reports = Analysis.effective_bandwidths (Store.model store) in
-  List.iter
-    (fun (r : Analysis.link_report) ->
-      let paths =
-        Store.find_paths store (fun e ->
-            Schema.equal_kind e.Model.kind Schema.Interconnect
-            && Model.identifier e = Some r.lr_ident)
-      in
-      List.iter
-        (fun path ->
-          match Store.element_at store path with
-          | None -> ()
-          | Some e -> (
-              let current =
-                Option.map Xpdl_units.Units.value (Model.attr_quantity e "effective_bandwidth")
-              in
-              match (r.lr_effective, current) with
-              | None, None -> ()
-              | None, Some _ -> Store.remove_attr store path "effective_bandwidth"
-              | Some eff, Some cur when Float.equal eff cur -> ()
-              | Some eff, _ ->
-                  Store.set_attr store path "effective_bandwidth"
-                    (Model.Quantity (Xpdl_units.Units.bytes_per_second eff, "B/s"))))
-        paths)
-    reports;
-  reports
-
-type refresh_report = {
-  rf_revision : int;  (** store revision the session now reflects *)
-  rf_edits : int;  (** journal entries folded in (0 after a compaction rebuild) *)
-  rf_analysis_rerun : bool;
-  rf_ir_rebuilt : bool;  (** [false]: attribute edits were patched in place *)
-  rf_diagnostics : Diagnostic.t list;
-  rf_timings : stage_timing list;
-}
-
-(* Walk an index path down the IR's derived child spans; [None] if it
-   dangles. *)
-let ir_index_of_path (ir : Ir.t) path =
-  let rec go i = function
-    | [] -> Some i
-    | c :: rest -> ( match Ir.nth_child ir i c with Some j -> go j rest | None -> None)
-  in
-  go (Ir.root_index ir) path
-
-let refresh (s : session) : refresh_report =
-  let store = s.s_store in
-  let rev0 = s.s_synced_rev in
-  let timings = ref [] in
-  let diags = ref [] in
-  let compacted, user_edits =
-    match Store.edits_since store rev0 with
-    | Some l -> (false, l)
-    | None ->
-        diags :=
-          [
-            Diagnostic.info ~code:"XPDL410"
-              "edit journal compacted before revision %d was refreshed; incremental view \
-               rebuilt from scratch"
-              rev0;
-          ];
-        (true, [])
-  in
-  if (not compacted) && user_edits = [] then
-    {
-      rf_revision = Store.revision store;
-      rf_edits = 0;
-      rf_analysis_rerun = false;
-      rf_ir_rebuilt = false;
-      rf_diagnostics = [];
-      rf_timings = [];
-    }
-  else begin
-    let touches_bandwidth (ed : Store.edit) =
-      match ed.Store.e_kind with
-      | Store.Structure -> true
-      | Store.Attr k -> List.mem k bandwidth_relevant
-    in
-    let analysis_dirty = compacted || List.exists touches_bandwidth user_edits in
-    if analysis_dirty then
-      s.s_link_reports <-
-        timed timings "static-analysis" (fun () -> annotate_bandwidths_via_store store);
-    (* fold everything journaled since [rev0] — the user's edits plus the
-       analysis' own annotation writes — into the runtime model *)
-    let edits = if compacted then None else Store.edits_since store rev0 in
-    let drop = s.s_config.filter_drop in
-    let ir_rebuilt = ref false in
-    (match edits with
-    | None -> ir_rebuilt := true
-    | Some l
-      when List.exists
-             (fun (ed : Store.edit) ->
-               match ed.Store.e_kind with Store.Structure -> true | Store.Attr _ -> false)
-             l ->
-        ir_rebuilt := true
-    | Some l ->
-        timed timings "ir-patch" (fun () ->
-            try
-              List.iter
-                (fun (ed : Store.edit) ->
-                  match ed.Store.e_kind with
-                  | Store.Structure -> assert false
-                  | Store.Attr k when List.mem k drop -> ()
-                  | Store.Attr _ -> (
-                      match
-                        (ir_index_of_path s.s_ir ed.Store.e_path, Store.element_at store ed.Store.e_path)
-                      with
-                      | Some i, Some e ->
-                          let attrs =
-                            List.filter (fun (k, _) -> not (List.mem k drop)) e.Model.attrs
-                          in
-                          Ir.patch_attrs s.s_ir i attrs
-                      | _ -> raise_notrace Exit))
-                l
-            with Exit -> ir_rebuilt := true));
-    if !ir_rebuilt then
-      s.s_ir <-
-        timed timings "runtime-model" (fun () ->
-            Ir.of_model (Analysis.filter_attributes ~drop (Store.model store)));
-    s.s_synced_rev <- Store.revision store;
-    {
-      rf_revision = s.s_synced_rev;
-      rf_edits = (match edits with Some l -> List.length l | None -> 0);
-      rf_analysis_rerun = analysis_dirty;
-      rf_ir_rebuilt = !ir_rebuilt;
-      rf_diagnostics = !diags;
-      rf_timings = List.rev !timings;
-    }
-  end

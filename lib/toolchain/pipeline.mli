@@ -10,11 +10,6 @@ type config = {
   parameter_config : Instantiate.env;  (** deployment-time param choices *)
   run_bootstrap : bool;
   bootstrap_opts : Xpdl_microbench.Bootstrap.options;
-  resilient_bootstrap : bool;  (** use the fault-tolerant harness *)
-  bootstrap_policy : Xpdl_microbench.Resilient.policy;  (** retry/deadline policy *)
-  bootstrap_faults : (int * float) option;
-      (** attach a [Faults] plan (seed, per-read rate) to the bootstrap
-          machine — forces the resilient harness *)
   filter_drop : string list;
   emit_drivers_to : string option;  (** directory for generated driver code *)
   machine_seed : int;
@@ -31,8 +26,6 @@ type report = {
   diagnostics : Diagnostic.t list;
   link_reports : Analysis.link_report list;
   bootstrap_results : Xpdl_microbench.Bootstrap.result list;
-  bootstrap_health : Xpdl_microbench.Resilient.health option;
-      (** attempt/fallback/quarantine account of a resilient bootstrap *)
   descriptors_used : string list;
   timings : stage_timing list;
   runtime_model_bytes : int;
@@ -53,52 +46,3 @@ val run_to_file :
   (report, string) result
 
 val pp_timings : Format.formatter -> stage_timing list -> unit
-
-(** {1 Incremental sessions}
-
-    A session keeps the pipeline output alive across model edits.  The
-    analyzed, bootstrapped model lives in an {!Xpdl_store.Store}; edits
-    go through the store's edit API, and {!refresh} re-runs only the
-    stages the edits dirtied: the bandwidth analysis only when a
-    bandwidth-relevant attribute or the tree shape changed (annotation
-    deltas are written back through the store), and the runtime IR by
-    patching edited nodes' attributes in place — it is rebuilt only on
-    structural edits or after journal compaction (diagnosed XPDL410). *)
-
-type session
-
-(** Run the batch pipeline once and wrap its result; also returns the
-    initial {!report}. *)
-val open_session :
-  ?config:config ->
-  ?repo:Xpdl_repo.Repo.t ->
-  system:string ->
-  unit ->
-  (session * report, string) result
-
-(** The session's model store — edit through this handle. *)
-val session_store : session -> Xpdl_store.Store.t
-
-val session_system : session -> string
-
-(** The current (analyzed, bootstrapped) model snapshot. *)
-val session_model : session -> Xpdl_core.Model.element
-
-(** The runtime IR as of the last {!refresh} (filtered per the config). *)
-val session_ir : session -> Ir.t
-
-(** Link reports as of the last analysis run. *)
-val session_link_reports : session -> Analysis.link_report list
-
-type refresh_report = {
-  rf_revision : int;  (** store revision the session now reflects *)
-  rf_edits : int;  (** journal entries folded in (0 after a compaction rebuild) *)
-  rf_analysis_rerun : bool;
-  rf_ir_rebuilt : bool;  (** [false]: attribute edits were patched in place *)
-  rf_diagnostics : Diagnostic.t list;
-  rf_timings : stage_timing list;
-}
-
-(** Bring the session's analysis and runtime IR up to the store's
-    current revision, re-running only dirty stages. *)
-val refresh : session -> refresh_report

@@ -114,7 +114,8 @@ let test_registry_sane () =
   List.iter
     (fun c ->
       Alcotest.(check bool) (c ^ " registered") true (Diagnostic.describe c <> None))
-    [ "XPDL401"; "XPDL402"; "XPDL403"; "XPDL410" ];
+    [ "XPDL401"; "XPDL402"; "XPDL403"; "XPDL404" ];
+  Alcotest.(check bool) "XPDL410 retired" true (Diagnostic.describe "XPDL410" = None);
   (* the XPDL5xx band: deployment-bootstrap robustness *)
   List.iter
     (fun c ->

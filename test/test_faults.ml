@@ -9,7 +9,6 @@ module Machine = Xpdl_simhw.Machine
 module Resilient = Xpdl_microbench.Resilient
 module Store = Xpdl_store.Store
 
-let repo = Testlib.repo
 let model = Testlib.model
 
 (* A minimal one-instruction system; [extra] lands on the <inst>, [data]
@@ -303,37 +302,6 @@ let test_health_report_reproducible () =
     (Resilient.health_to_json h1) (Resilient.health_to_json h2);
   Alcotest.(check bool) "faults actually fired" true (h1.Resilient.h_fault_events > 0)
 
-let test_pipeline_continues_past_degraded_bootstrap () =
-  (* the full pipeline with a fault plan attached still yields a runtime
-     model and a health account instead of aborting *)
-  let module Pipeline = Xpdl_toolchain.Pipeline in
-  let config =
-    {
-      Pipeline.default_config with
-      Pipeline.bootstrap_faults = Some (13, 0.9);
-      bootstrap_policy = { Resilient.default_policy with Resilient.retries = 1 };
-      machine_seed = 11;
-    }
-  in
-  match Pipeline.run ~config ~repo:(Lazy.force repo) ~system:"liu_gpu_server" () with
-  | Error msg -> Alcotest.failf "pipeline failed: %s" msg
-  | Ok report ->
-      let h = Option.get report.Pipeline.bootstrap_health in
-      Alcotest.(check bool) "faults fired" true (h.Resilient.h_fault_events > 0);
-      Alcotest.(check bool) "runtime model built" true
-        (Xpdl_toolchain.Ir.size report.Pipeline.runtime_model > 0);
-      Alcotest.(check bool) "health diagnostics surfaced" true
-        (List.exists
-           (fun (d : Diagnostic.t) -> String.length d.Diagnostic.code = 7
-             && String.sub d.Diagnostic.code 0 5 = "XPDL5")
-           report.Pipeline.diagnostics);
-      (* the default fault-free pipeline reports no health block *)
-      (match Pipeline.run ~repo:(Lazy.force repo) ~system:"liu_gpu_server" () with
-      | Ok plain ->
-          Alcotest.(check bool) "no health block by default" true
-            (plain.Pipeline.bootstrap_health = None)
-      | Error msg -> Alcotest.failf "plain pipeline failed: %s" msg)
-
 let test_degraded_model_still_processes () =
   (* graceful degradation end to end: a heavily faulted bootstrap still
      yields a model every "?" of which is labeled, and the query layer
@@ -398,7 +366,5 @@ let () =
           Alcotest.test_case "reproducible health report" `Quick test_health_report_reproducible;
           Alcotest.test_case "degraded model still processes" `Quick
             test_degraded_model_still_processes;
-          Alcotest.test_case "pipeline continues past degraded bootstrap" `Quick
-            test_pipeline_continues_past_degraded_bootstrap;
         ] );
     ]

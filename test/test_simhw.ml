@@ -245,11 +245,21 @@ let test_run_allocation_size_independent () =
     (fun name ->
       let m = Machine.create (model name) in
       let w = Kernels.single_instruction ~name:"fadd" ~iterations:1000 in
-      ignore (Machine.run m w);
-      let before = Gc.minor_words () in
-      ignore (Sys.opaque_identity (Machine.run m w));
-      let words = Gc.minor_words () -. before in
-      if words >= 1000. then Alcotest.failf "%s: one run allocated %.0f minor words" name words)
+      (* the default core, then the last core named in full and by basename *)
+      let last = m.Machine.cores.(Array.length m.Machine.cores - 1).Machine.core_ident in
+      List.iter
+        (fun (label, core) ->
+          ignore (Machine.run ?core m w);
+          let before = Gc.minor_words () in
+          ignore (Sys.opaque_identity (Machine.run ?core m w));
+          let words = Gc.minor_words () -. before in
+          if words >= 1000. then
+            Alcotest.failf "%s (%s): one run allocated %.0f minor words" name label words)
+        [
+          ("default core", None);
+          ("last core by ident", Some last);
+          ("last core by basename", Some (Filename.basename last));
+        ])
     [ "liu_gpu_server"; "XScluster" ]
 
 (* ------------------------------------------------------------------ *)

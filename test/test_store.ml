@@ -8,10 +8,8 @@ open Xpdl_core
 module Store = Xpdl_store.Store
 module Aggregate = Xpdl_energy.Aggregate
 module Query = Xpdl_query.Query
-module Pipeline = Xpdl_toolchain.Pipeline
 module Splice = Xpdl_compose.Splice
 
-let repo = Testlib.repo
 let model = Testlib.model
 
 let case name f = Alcotest.test_case name `Quick f
@@ -176,10 +174,12 @@ let test_query_of_store_attr_patch () =
   let rebuilt () = Query.of_model (Store.model store) in
   Alcotest.(check int) "initial cores agree" (Query.count_cores (rebuilt ())) (Query.count_cores q);
   let sp0 = Query.total_static_power q in
+  let ir0 = Query.runtime_ir q in
   (* attribute edit: the tracked handle patches the IR in place *)
   let path = Option.get (Store.resolve store "liu_gpu_server/gpu_host") in
   Store.set_attr store path "static_power" (watts 99.);
   let sp1 = Query.total_static_power q in
+  Alcotest.(check bool) "IR patched, not rebuilt" true (Query.runtime_ir q == ir0);
   Alcotest.(check bool) "edit visible through handle" true (sp1 <> sp0);
   Alcotest.check approx "tracked = rebuilt" (Query.total_static_power (rebuilt ())) sp1;
   Alcotest.(check int) "size unchanged by attr patch" (Query.size (rebuilt ())) (Query.size q)
@@ -188,131 +188,17 @@ let test_query_of_store_structural_rebuild () =
   let store = Store.of_model (model "liu_gpu_server") in
   let q = Query.of_store store in
   let n0 = Query.count_cores q in
+  let ir0 = Query.runtime_ir q in
   let path = Option.get (Store.resolve store "liu_gpu_server/gpu_host") in
   Store.insert_child store path (Model.make Schema.Core ~id:"extra_core");
   Alcotest.(check int) "structural edit visible" (n0 + 1) (Query.count_cores q);
+  Alcotest.(check bool) "IR rebuilt on structure" false (Query.runtime_ir q == ir0);
   Alcotest.(check int)
     "tracked = rebuilt after rebuild" (Query.count_cores (Query.of_model (Store.model store)))
     (Query.count_cores q);
   Alcotest.(check bool)
     "new node addressable" true
     (Query.find_by_id q "extra_core" <> None)
-
-let test_query_of_store_drop () =
-  let store = Store.of_model (small_tree ()) in
-  let q = Query.of_store ~drop:[ "static_power" ] store in
-  Alcotest.check approx "dropped attribute invisible" 0. (Query.total_static_power q);
-  Store.set_attr store [ 0 ] "static_power" (watts 50.);
-  Alcotest.check approx "edits to dropped attrs invisible" 0. (Query.total_static_power q);
-  Store.set_attr store [ 0 ] "frequency"
-    (Model.Quantity (Xpdl_units.Units.hertz 1e9, "GHz"));
-  Alcotest.(check bool)
-    "other edits visible" true
-    (Query.get (Option.get (Query.find_by_id q "cpu1")) "frequency" <> None)
-
-(* ------------------------------------------------------------------ *)
-(* Pipeline sessions *)
-
-let open_liu_session () =
-  match
-    Pipeline.open_session ~repo:(Lazy.force repo) ~system:"liu_gpu_server" ()
-  with
-  | Ok (s, report) -> (s, report)
-  | Error msg -> Alcotest.failf "open_session: %s" msg
-
-let test_session_noop_refresh () =
-  let s, report = open_liu_session () in
-  Alcotest.(check int)
-    "session IR = batch IR"
-    (Xpdl_toolchain.Ir.size report.Pipeline.runtime_model)
-    (Xpdl_toolchain.Ir.size (Pipeline.session_ir s));
-  let r = Pipeline.refresh s in
-  Alcotest.(check int) "nothing to fold" 0 r.Pipeline.rf_edits;
-  Alcotest.(check bool) "no analysis" false r.Pipeline.rf_analysis_rerun;
-  Alcotest.(check bool) "no rebuild" false r.Pipeline.rf_ir_rebuilt
-
-let test_session_attr_refresh () =
-  let s, _ = open_liu_session () in
-  let store = Pipeline.session_store s in
-  let path = Option.get (Store.resolve store "liu_gpu_server/gpu_host") in
-  Store.set_attr store path "static_power" (watts 77.);
-  let r = Pipeline.refresh s in
-  Alcotest.(check int) "one edit folded" 1 r.Pipeline.rf_edits;
-  Alcotest.(check bool) "analysis stayed clean" false r.Pipeline.rf_analysis_rerun;
-  Alcotest.(check bool) "IR patched, not rebuilt" false r.Pipeline.rf_ir_rebuilt;
-  let q = Query.of_ir (Pipeline.session_ir s) in
-  let host = Option.get (Query.find_by_id q "gpu_host") in
-  Alcotest.(check (option (float 1e-9)))
-    "patched value visible" (Some 77.)
-    (Query.get_quantity host "static_power" ~dim:Xpdl_units.Units.Power)
-
-let test_session_bandwidth_refresh () =
-  let s, _ = open_liu_session () in
-  let store = Pipeline.session_store s in
-  (* slow every memory inside the link's tail endpoint (the GPU — the
-     host Xeon only has caches): the PCIe link must downgrade *)
-  let host = Option.get (Store.resolve store "liu_gpu_server/gpu1") in
-  let is_prefix p q =
-    let rec go p q = match (p, q) with [], _ -> true | a :: p', b :: q' -> a = b && go p' q' | _ -> false in
-    go p q
-  in
-  let mem_paths =
-    List.filter (is_prefix host)
-      (Store.find_paths store (fun e ->
-           Schema.equal_kind e.Model.kind Schema.Memory
-           && Model.attr_quantity e "bandwidth" <> None))
-  in
-  Alcotest.(check bool) "host has memories" true (mem_paths <> []);
-  List.iter
-    (fun p ->
-      Store.set_attr store p "bandwidth"
-        (Model.Quantity (Xpdl_units.Units.bytes_per_second 1e6, "MB/s")))
-    mem_paths;
-  let r = Pipeline.refresh s in
-  Alcotest.(check bool) "analysis re-ran" true r.Pipeline.rf_analysis_rerun;
-  Alcotest.(check bool)
-    "a link downgraded" true
-    (List.exists
-       (fun (lr : Xpdl_toolchain.Analysis.link_report) -> lr.lr_downgraded)
-       (Pipeline.session_link_reports s));
-  (* the refreshed session equals a batch re-run over the edited model *)
-  let annotated, _ = Xpdl_toolchain.Analysis.effective_bandwidths (Store.model store) in
-  Alcotest.(check string)
-    "store model = batch annotation fixpoint"
-    (Model.to_string annotated)
-    (Model.to_string (Pipeline.session_model s))
-
-let test_session_structural_refresh () =
-  let s, _ = open_liu_session () in
-  let store = Pipeline.session_store s in
-  let path = Option.get (Store.resolve store "liu_gpu_server/gpu_host") in
-  Store.insert_child store path (Model.make Schema.Core ~id:"hotplug_core");
-  let r = Pipeline.refresh s in
-  Alcotest.(check bool) "IR rebuilt on structure" true r.Pipeline.rf_ir_rebuilt;
-  let q = Query.of_ir (Pipeline.session_ir s) in
-  Alcotest.(check bool) "new core in runtime model" true (Query.find_by_id q "hotplug_core" <> None)
-
-(* ------------------------------------------------------------------ *)
-(* Store-backed bootstrap *)
-
-let test_bootstrap_store_equals_batch () =
-  let m = model "liu_gpu_server" in
-  let batch_machine = Xpdl_simhw.Machine.create ~seed:7 m in
-  let batch_model, batch_results =
-    Xpdl_microbench.Bootstrap.run ~machine:batch_machine m
-  in
-  let store = Store.of_model m in
-  let store_machine = Xpdl_simhw.Machine.create ~seed:7 m in
-  let store_results = Xpdl_microbench.Bootstrap.run_store ~machine:store_machine store in
-  Alcotest.(check int)
-    "same result count" (List.length batch_results) (List.length store_results);
-  Alcotest.(check string)
-    "store bootstrap = batch bootstrap"
-    (Model.to_string batch_model)
-    (Model.to_string (Store.model store));
-  Alcotest.(check (list string))
-    "no placeholders left" []
-    (Xpdl_microbench.Bootstrap.remaining_placeholders (Store.model store))
 
 (* ------------------------------------------------------------------ *)
 (* Splicing *)
@@ -368,16 +254,7 @@ let () =
         [
           case "attr patch sync" test_query_of_store_attr_patch;
           case "structural rebuild sync" test_query_of_store_structural_rebuild;
-          case "drop filter" test_query_of_store_drop;
         ] );
-      ( "session",
-        [
-          case "noop refresh" test_session_noop_refresh;
-          case "attr-only refresh" test_session_attr_refresh;
-          case "bandwidth refresh" test_session_bandwidth_refresh;
-          case "structural refresh" test_session_structural_refresh;
-        ] );
-      ("bootstrap", [ case "store = batch" test_bootstrap_store_equals_batch ]);
       ( "splice",
         [
           case "attach/graft/detach" test_splice_attach_detach;

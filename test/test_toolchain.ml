@@ -514,6 +514,34 @@ let test_pipeline_to_file_and_query () =
       Alcotest.(check bool) "loadable" true (Ir.find_by_ident ir "mv153board" <> None));
   Sys.remove out
 
+(* A system with a "?" instruction energy but no core: the bootstrap's
+   [Machine.run] raises, and the pipeline degrades instead of failing. *)
+let coreless_system =
+  {|<system id="coreless">
+  <memory id="mem0" size="1" unit="GB" />
+  <power_model name="pm">
+    <instructions name="isa">
+      <inst name="widget" energy="?" energy_unit="pJ" />
+    </instructions>
+  </power_model>
+</system>
+|}
+
+let test_pipeline_survives_failed_bootstrap () =
+  Testlib.with_temp_dir "xpdl_coreless" @@ fun dir ->
+  Out_channel.with_open_text (Filename.concat dir "coreless.xpdl") (fun oc ->
+      output_string oc coreless_system);
+  let config = { Pipeline.default_config with search_path = [ dir ] } in
+  match Pipeline.run ~config ~system:"coreless" () with
+  | Error msg -> Alcotest.failf "pipeline must degrade, not fail: %s" msg
+  | Ok report ->
+      let codes = List.map (fun (d : Xpdl_core.Diagnostic.t) -> d.code) report.Pipeline.diagnostics in
+      Alcotest.(check bool) "runtime model built" true (Ir.size report.Pipeline.runtime_model > 0);
+      Alcotest.(check bool) "XPDL500 reported" true (List.mem "XPDL500" codes);
+      Alcotest.(check bool) "XPDL310 reported" true (List.mem "XPDL310" codes);
+      Alcotest.(check bool) "no bootstrap results" true (report.Pipeline.bootstrap_results = []);
+      Alcotest.(check int) "placeholder kept" 1 (count_unknowns report.Pipeline.runtime_model)
+
 (* Fingerprints of every bundled system's runtime model, with and
    without the microbenchmark bootstrap, as [Xpdl_kernel.checksum] of
    the encoded image.  They pin the simulator's measurements and the
@@ -609,6 +637,7 @@ let () =
           case "driver emission" test_pipeline_emits_drivers;
           case "file output + reload" test_pipeline_to_file_and_query;
           case "golden fingerprints" test_pipeline_golden_fingerprints;
+          case "survives a failed bootstrap" test_pipeline_survives_failed_bootstrap;
         ] );
       ("cpp", [ case "generated header" test_cpp_header ]);
     ]
