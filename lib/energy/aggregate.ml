@@ -90,10 +90,6 @@ let sum_rule key : float rule =
         Option.value ~default:0. own +. List.fold_left ( +. ) 0. children);
   }
 
-(* The concrete rules are exposed as named values so the incremental
-   store can register them as memoized per-node computations: the rule
-   is the unit of caching and invalidation, not the whole-tree pass. *)
-
 let static_power_rule : float rule = sum_rule "static_power"
 
 let core_count_rule : int rule =

@@ -25,13 +25,6 @@ val synthesize_table : 'a rule -> Model.element -> 'a * (string * 'a) list
 (** Sum a quantity attribute over all hardware components. *)
 val sum_rule : string -> float rule
 
-(** The concrete rules as named values — the unit the incremental store
-    registers for per-node caching. *)
-val static_power_rule : float rule
-
-val core_count_rule : int rule
-val memory_bytes_rule : float rule
-
 (** Total static power (W) of the subtree. *)
 val static_power : Model.element -> float
 

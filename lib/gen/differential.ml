@@ -12,7 +12,6 @@ module Ir = Xpdl_toolchain.Ir
 module Query = Xpdl_query.Query
 module Psm = Xpdl_energy.Psm
 module Power = Xpdl_core.Power
-module Aggregate = Xpdl_energy.Aggregate
 module Store = Xpdl_store.Store
 module Dse = Xpdl_dse.Dse
 module Repo = Xpdl_repo.Repo
@@ -236,15 +235,15 @@ let check_arena_oracle (doc : Dom.element) : string option =
 
 (* --- property: store-incremental --- *)
 
-(* Apply a random edit sequence through the incremental store and after
-   every step compare each incrementally maintained value against a
-   from-scratch recomputation on the store's current model.  "Equal"
-   means bit-identical for floats — the incremental evaluator promises
-   the same combination order as [Aggregate.synthesize], not an
-   approximation of it.  A [Query.of_store] handle created before the
-   edits rides along and is compared against a handle rebuilt from the
-   current model (exercising both the attribute-patch and the
-   structural-rebuild sync paths). *)
+(* Apply a random edit sequence through the store and after every step
+   compare a [Query.of_store] handle created before the edits against a
+   handle rebuilt from the store's current model (exercising both the
+   attribute-patch and the structural-rebuild sync paths).  "Equal"
+   means bit-identical for floats: the tracked handle's memo entries
+   that survive an edit must hold exactly what a fresh handle computes.
+   Besides whole-model values, each step reads the static power within
+   the k-th preorder node, so memo entries that span eviction keeps
+   across attribute edits elsewhere are read back and checked. *)
 let check_store_incremental (doc : Dom.element) : string option =
   guarded @@ fun () ->
   match compose_doc doc with
@@ -255,29 +254,29 @@ let check_store_incremental (doc : Dom.element) : string option =
       (* the edit stream must be deterministic across shrink re-runs of
          the same document, so it gets its own fixed-seed generator *)
       let g = Gen.create ~seed:default_seed in
+      let k = Gen.int g 1_000_000 in
       let bits = Int64.bits_of_float in
       let check_step step =
-        let scratch = Store.model store in
-        let sp_inc = Store.static_power store and sp_ref = Aggregate.static_power scratch in
-        let cc_inc = Store.core_count store and cc_ref = Aggregate.core_count scratch in
-        let mb_inc = Store.memory_bytes store and mb_ref = Aggregate.memory_bytes scratch in
-        if bits sp_inc <> bits sp_ref then
-          fail "step %d: static_power incremental=%h from-scratch=%h" step sp_inc sp_ref
-        else if cc_inc <> cc_ref then
-          fail "step %d: core_count incremental=%d from-scratch=%d" step cc_inc cc_ref
-        else if bits mb_inc <> bits mb_ref then
-          fail "step %d: memory_bytes incremental=%h from-scratch=%h" step mb_inc mb_ref
-        else begin
-          let rebuilt = Query.of_model scratch in
-          let qc_inc = Query.count_cores tracked and qc_ref = Query.count_cores rebuilt in
-          let qp_inc = Query.total_static_power tracked
-          and qp_ref = Query.total_static_power rebuilt in
-          if qc_inc <> qc_ref then
-            fail "step %d: query count_cores tracked=%d rebuilt=%d" step qc_inc qc_ref
-          else if bits qp_inc <> bits qp_ref then
-            fail "step %d: query total_static_power tracked=%h rebuilt=%h" step qp_inc qp_ref
+        let rebuilt = Query.of_model (Store.model store) in
+        let within q = Ir.node (Query.runtime_ir q) (k mod Query.size q) in
+        let float_mismatch name f =
+          let inc = f tracked and ref_ = f rebuilt in
+          if bits inc <> bits ref_ then
+            fail "step %d: %s tracked=%h rebuilt=%h" step name inc ref_
           else None
-        end
+        in
+        let qc_inc = Query.count_cores tracked and qc_ref = Query.count_cores rebuilt in
+        if qc_inc <> qc_ref then
+          fail "step %d: count_cores tracked=%d rebuilt=%d" step qc_inc qc_ref
+        else
+          List.find_map
+            (fun (name, f) -> float_mismatch name f)
+            [
+              ("total_static_power", fun q -> Query.total_static_power q);
+              ("total_memory_bytes", fun q -> Query.total_memory_bytes q);
+              ( Fmt.str "total_static_power within node %d" (k mod Query.size rebuilt),
+                fun q -> Query.total_static_power ~within:(within q) q );
+            ]
       in
       let fresh_leaf () =
         if Gen.chance g 0.5 then
@@ -335,7 +334,7 @@ let check_store_incremental (doc : Dom.element) : string option =
           match check_step step with Some msg -> Some msg | None -> loop (step + 1)
         end
       in
-      (* the derived values must also agree before any edit *)
+      (* the handles must also agree before any edit *)
       (match check_step (-1) with Some msg -> Some msg | None -> loop 0)
 
 (* --- property: print/parse round-trip --- *)

@@ -8,11 +8,11 @@
        results ≡ the naive {!Oracle} tree walks on composed generated
        models (counts, aggregations, path/id lookups, subtree spans,
        selectors);}
-    {- [store-incremental]: a random edit sequence applied through the
-       incremental {!Xpdl_store.Store} leaves every derived value
-       bit-identical to a from-scratch recomputation on the current
-       model after each step, including a tracked {!Xpdl_query.Query}
-       handle vs. a rebuilt one, and the edit journal stays replayable;}
+    {- [store-incremental]: after each step of a random edit sequence
+       applied through an {!Xpdl_store.Store}, a tracked
+       {!Xpdl_query.Query} handle answers bit-identically to one rebuilt
+       from the current model (whole-model and within-subtree derived
+       values), and the edit journal stays replayable;}
     {- [serve-mvcc]: random interleavings of query/edit/pin/subscribe
        requests from several simulated client sessions against an
        in-process {!Xpdl_serve.Hub} answer exactly as a sequential

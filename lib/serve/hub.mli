@@ -1,6 +1,6 @@
 (** The serving hub: MVCC session logic over one hot model.
 
-    A hub owns an incremental {!Xpdl_store.Store} (the single writer's
+    A hub owns a revision-tracked {!Xpdl_store.Store} (the single writer's
     model of record), a tracked head {!Xpdl_query.Query} handle that
     follows its edit journal, and a table of pinned snapshots.  Sessions
     — one per connected client — pin revisions, query either the moving

@@ -1,22 +1,13 @@
-(** The incremental, revision-tracked model store (see the interface).
+(** The revision-tracked model store (see the interface).
 
-    Two trees live side by side: the immutable {!Xpdl_core.Model}
-    snapshot, and a mutable cache tree of the same shape whose nodes
-    hold memoized per-subtree values of registered
-    {!Xpdl_energy.Aggregate} rules.  An edit rebuilds the model spine
-    from the root to the edited node (sharing everything off the spine)
-    and clears the cache memo on exactly that spine: the next
-    re-derivation recomputes the spine nodes from their children's
-    cached values and leaves the rest of the tree untouched.
-
-    Derived values are bit-identical to a from-scratch
-    {!Xpdl_energy.Aggregate.synthesize}: the evaluator runs the same
-    rule over the same traversal in the same combination order, it
-    merely reads children from the cache when their subtrees are
-    clean. *)
+    The model is an immutable {!Xpdl_core.Model} tree: an edit rebuilds
+    the spine from the root to the edited node, shares everything off
+    the spine, bumps the revision and appends one entry to the journal
+    (and, when durable, one record to the write-ahead log).  Readers
+    that derive values from the model follow the journal; the store
+    itself keeps no derived state. *)
 
 open Xpdl_core
-module Aggregate = Xpdl_energy.Aggregate
 
 type revision = int
 type index_path = Model.index_path
@@ -24,48 +15,6 @@ type index_path = Model.index_path
 exception Store_error of Diagnostic.t
 
 let err code fmt = Fmt.kstr (fun m -> raise (Store_error (Diagnostic.error ~code "%s" m))) fmt
-
-(* A universal value for the per-node memo table: each registered rule
-   gets an injection/projection pair over a private exception
-   constructor, so memos of differently typed rules share one list. *)
-module Univ : sig
-  type t
-
-  val embed : unit -> ('a -> t) * (t -> 'a option)
-end = struct
-  type t = exn
-
-  let embed (type a) () =
-    let module M = struct
-      exception E of a
-    end in
-    ((fun x -> M.E x), function M.E x -> Some x | _ -> None)
-end
-
-type 'a derived = {
-  d_id : int;
-  d_name : string;
-  d_rule : 'a Aggregate.rule;
-  d_inj : 'a -> Univ.t;
-  d_prj : Univ.t -> 'a option;
-}
-
-let next_derived_id = ref 0
-
-let derive ~name rule =
-  let inj, prj = Univ.embed () in
-  incr next_derived_id;
-  { d_id = !next_derived_id; d_name = name; d_rule = rule; d_inj = inj; d_prj = prj }
-
-let derived_name d = d.d_name
-
-(* The cache tree: same shape as the model.  [memo] associates derived
-   ids with that rule's synthesized value for this subtree; cleared on
-   the spine of every edit. *)
-type cache = { mutable memo : (int * Univ.t) list; mutable kids : cache array }
-
-let rec cache_of (e : Model.element) : cache =
-  { memo = []; kids = Array.of_list (List.map cache_of e.Model.children) }
 
 type edit_kind = Attr of string | Structure
 type edit = { e_rev : revision; e_path : index_path; e_kind : edit_kind }
@@ -88,7 +37,6 @@ type durability = {
 type t = {
   mutable root : Model.element;
   mutable rev : revision;
-  mutable cache : cache;
   mutable journal : edit list;  (** newest first; holds revisions (rev - journal_len, rev] *)
   mutable journal_len : int;
   capacity : int;  (** journal retention floor for unpinned consumers *)
@@ -102,7 +50,6 @@ let of_model ?(journal_capacity = journal_capacity) m =
   {
     root = m;
     rev = 0;
-    cache = cache_of m;
     journal = [];
     journal_len = 0;
     capacity = journal_capacity;
@@ -126,25 +73,6 @@ let element_at_exn t path =
       err "XPDL401" "index path [%s] does not address a model element"
         (String.concat " " (List.map string_of_int path))
 
-(* Scope paths use the same prefix convention as the runtime model's
-   path index: unnamed nodes inherit their parent's prefix; the first
-   match in document order wins. *)
-let resolve t scope_path =
-  let exception Found of index_path in
-  let rec go rev_path prefix (e : Model.element) =
-    let here =
-      match Model.identifier e with
-      | Some i -> if prefix = "" then i else prefix ^ "/" ^ i
-      | None -> prefix
-    in
-    if String.equal here scope_path then raise (Found (List.rev rev_path));
-    List.iteri (fun i c -> go (i :: rev_path) here c) e.Model.children
-  in
-  try
-    go [] "" t.root;
-    None
-  with Found p -> Some p
-
 let find_paths t p =
   List.rev
     (Model.fold_index_paths
@@ -152,25 +80,6 @@ let find_paths t p =
        [] t.root)
 
 (** {1 Edits} *)
-
-(* Clear the memo on the spine root→...→node addressed by [path]; the
-   caches below the edited node stay valid for attribute edits and are
-   rebuilt for structural ones (by the caller). *)
-let invalidate_spine t path =
-  let rec go (c : cache) = function
-    | [] -> c.memo <- []
-    | i :: rest ->
-        c.memo <- [];
-        if i >= 0 && i < Array.length c.kids then go c.kids.(i) rest
-  in
-  go t.cache path
-
-let cache_at t path =
-  let rec go (c : cache) = function
-    | [] -> c
-    | i :: rest -> go c.kids.(i) rest
-  in
-  go t.cache path
 
 (* The oldest revision any consumer may still need replayed: pinned
    readers (MVCC snapshots, lagging subscribers) hold a floor below
@@ -234,7 +143,6 @@ let update_model t path f =
 
 let set_attr t path key value =
   update_model t path (fun e -> Model.set_attr e key value);
-  invalidate_spine t path;
   record t path (Attr key);
   wal_append t (Wal.Set_attr (path, key, value))
 
@@ -251,16 +159,11 @@ let set_attr_raw t path ?unit_spelling key raw =
 
 let remove_attr t path key =
   update_model t path (fun e -> Model.remove_attr e key);
-  invalidate_spine t path;
   record t path (Attr key);
   wal_append t (Wal.Remove_attr (path, key))
 
 let replace_subtree t path replacement =
   update_model t path (fun _ -> replacement);
-  invalidate_spine t path;
-  (* the subtree under the edit is new: rebuild its cache skeleton *)
-  let c = cache_at t path in
-  c.kids <- Array.of_list (List.map cache_of replacement.Model.children);
   record t path Structure;
   wal_append t (Wal.Replace_subtree (path, replacement))
 
@@ -273,12 +176,6 @@ let insert_child t path ?at child =
       let before = List.filteri (fun i _ -> i < at) e.Model.children in
       let after = List.filteri (fun i _ -> i >= at) e.Model.children in
       { e with Model.children = before @ (child :: after) });
-  invalidate_spine t path;
-  let c = cache_at t path in
-  let kids = Array.to_list c.kids in
-  let before = List.filteri (fun i _ -> i < at) kids in
-  let after = List.filteri (fun i _ -> i >= at) kids in
-  c.kids <- Array.of_list (before @ (cache_of child :: after));
   record t path Structure;
   wal_append t (Wal.Insert_child (path, at, child))
 
@@ -289,9 +186,6 @@ let remove_child t path at =
   let removed = List.nth parent.Model.children at in
   update_model t path (fun e ->
       { e with Model.children = List.filteri (fun i _ -> i <> at) e.Model.children });
-  invalidate_spine t path;
-  let c = cache_at t path in
-  c.kids <- Array.of_list (List.filteri (fun i _ -> i <> at) (Array.to_list c.kids));
   record t path Structure;
   wal_append t (Wal.Remove_child (path, at));
   removed
@@ -302,7 +196,10 @@ let edits_since t r =
   if r >= t.rev then Some []
   else if r < t.rev - t.journal_len then None
   else
-    Some (List.rev (List.filter (fun e -> e.e_rev > r) t.journal))
+    (* newest first with strictly decreasing revisions: stop at the
+       first entry at or below [r]; consing reverses into oldest first *)
+    let rec take acc = function e :: rest when e.e_rev > r -> take (e :: acc) rest | _ -> acc in
+    Some (take [] t.journal)
 
 let journal_length t = t.journal_len
 
@@ -423,49 +320,9 @@ let close_wal t =
       Wal.close d.wal;
       t.dur <- None
 
-(** {1 Incremental derived attributes} *)
-
-(* The incremental attribute-grammar evaluator: identical traversal and
-   combination order to [Aggregate.synthesize], except that a node whose
-   memo holds the rule's entry returns it without descending. *)
-let rec eval d (e : Model.element) (c : cache) =
-  match List.assq_opt d.d_id c.memo with
-  | Some packed -> (
-      match d.d_prj packed with Some v -> v | None -> assert false)
-  | None ->
-      let kids = c.kids in
-      let _, rev_children =
-        List.fold_left
-          (fun (i, acc) (child : Model.element) ->
-            if Model.is_metadata_subtree child.Model.kind then (i + 1, acc)
-            else (i + 1, eval d child kids.(i) :: acc))
-          (0, []) e.Model.children
-      in
-      let v = d.d_rule.Aggregate.combine (d.d_rule.Aggregate.own e) (List.rev rev_children) in
-      c.memo <- (d.d_id, d.d_inj v) :: c.memo;
-      v
-
-let get t d = eval d t.root t.cache
-let get_at t d path = eval d (element_at_exn t path) (cache_at t path)
-
-let d_static_power = derive ~name:"static_power" Aggregate.static_power_rule
-let d_core_count = derive ~name:"core_count" Aggregate.core_count_rule
-let d_memory_bytes = derive ~name:"memory_bytes" Aggregate.memory_bytes_rule
-let static_power t = get t d_static_power
-let core_count t = get t d_core_count
-let memory_bytes t = get t d_memory_bytes
-let static_power_at t path = get_at t d_static_power path
-let core_count_at t path = get_at t d_core_count path
-
 (** {1 Introspection} *)
 
-let cached_nodes t =
-  let rec go acc (c : cache) =
-    Array.fold_left go (if c.memo = [] then acc else acc + 1) c.kids
-  in
-  go 0 t.cache
-
 let pp ppf t =
-  Fmt.pf ppf "store: %d elements, revision %d, %d cached nodes, %d journaled edits, %d pins"
-    (size t) t.rev (cached_nodes t) t.journal_len
+  Fmt.pf ppf "store: %d elements, revision %d, %d journaled edits, %d pins" (size t) t.rev
+    t.journal_len
     (Hashtbl.fold (fun _ n acc -> acc + n) t.pins 0)

@@ -1,20 +1,21 @@
-(** The incremental, revision-tracked model store.
+(** The revision-tracked model store.
 
-    The paper's hierarchical energy model is an attribute grammar
-    (Sec. III-D) over an edit-heavy model: deployment-time
-    microbenchmarking resolves ["?"] placeholders one by one,
-    composition splices submodels, and adaptive optimization re-queries
-    derived attributes as the platform state changes.  A {!t} wraps a
-    {!Xpdl_core.Model.element} behind a versioned handle with
-    subtree-granular dirty tracking: derived computations register as
-    memoized per-node rules, and an edit invalidates caches only along
-    the spine from the edited node to the root, so a single-leaf update
-    re-derives in O(depth · fan-out) instead of O(model).
+    The paper's platform models are edited after composition:
+    deployment-time microbenchmarking resolves ["?"] placeholders one by
+    one, and a serving process applies client edits while readers query
+    (Sec. III-D, Sec. IV).  A {!t} wraps a {!Xpdl_core.Model.element}
+    behind a versioned handle: every edit produces a new immutable
+    snapshot that shares all nodes off the edited spine, bumps the
+    revision and appends to an edit journal.  Revision pins keep journal
+    ranges replayable for MVCC readers, and an optional write-ahead log
+    makes the edits durable.
 
-    Edits are journaled with monotonically increasing revisions;
-    downstream consumers (the runtime-model IR, the query API's memos)
-    catch up from the journal and fall back to a full rebuild only when
-    the journal has been compacted past their revision. *)
+    The store keeps no derived values.  Hierarchical energy attributes
+    come from [Xpdl_energy.Aggregate] when computed from scratch and
+    from a [Xpdl_query.Query.of_store] handle when computed
+    incrementally: such a handle catches up from the journal (patching
+    attribute edits in place) and falls back to a full rebuild only when
+    the journal has been compacted past its revision. *)
 
 open Xpdl_core
 
@@ -47,10 +48,6 @@ val size : t -> int
 
 (** The element at an index path, if in range. *)
 val element_at : t -> index_path -> Model.element option
-
-(** Resolve a scope path (["liu_gpu_server/gpu1/SM0"]) to the first
-    matching node in document order. *)
-val resolve : t -> string -> index_path option
 
 (** Index paths of all nodes satisfying the predicate (document order). *)
 val find_paths : t -> (Model.element -> bool) -> index_path list
@@ -178,46 +175,6 @@ val sync_wal : t -> unit
 (** Sync and close the WAL; the store stays usable but non-durable. *)
 val close_wal : t -> unit
 
-(** {1 Incremental derived attributes}
-
-    A {!derived} is a registered {!Xpdl_energy.Aggregate.rule}: its
-    per-subtree values are cached at every node and recomputed only
-    where an edit invalidated the spine.  Values are bit-identical to a
-    from-scratch {!Xpdl_energy.Aggregate.synthesize} of the same rule
-    (same traversal, same combination order). *)
-
-type 'a derived
-
-(** Register a rule under a fresh cache slot.  Registration is global
-    (a [derived] works on every store); typically done once at module
-    init. *)
-val derive : name:string -> 'a Xpdl_energy.Aggregate.rule -> 'a derived
-
-val derived_name : 'a derived -> string
-
-(** The derived value of the whole model. *)
-val get : t -> 'a derived -> 'a
-
-(** The derived value of the subtree at the path.  Raises {!Store_error}
-    ([XPDL401]) on a dangling path. *)
-val get_at : t -> 'a derived -> index_path -> 'a
-
-(** {2 Prefab derived attributes} (the rules of
-    {!Xpdl_energy.Aggregate}) *)
-
-val static_power : t -> float
-val core_count : t -> int
-val memory_bytes : t -> float
-
-(** Subtree variants. *)
-val static_power_at : t -> index_path -> float
-
-val core_count_at : t -> index_path -> int
-
 (** {1 Introspection} *)
-
-(** Number of nodes currently holding at least one cached derived value
-    (cache-effectiveness metric for tests and benchmarks). *)
-val cached_nodes : t -> int
 
 val pp : Format.formatter -> t -> unit

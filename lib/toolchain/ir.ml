@@ -685,7 +685,7 @@ let attr_at t i name =
 
 (** Replace node [i]'s attributes (interning keys, re-sorting) in an
     overlay over the immutable arena.  Spans, indexes and previously
-    fetched records are untouched: this is the incremental store's
+    fetched records are untouched: this is the tracked query handle's
     attribute-edit fast path — the IR is patched, not rebuilt.  Raises
     [Invalid_argument] on a bad index. *)
 let patch_attrs t i pairs =

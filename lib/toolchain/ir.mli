@@ -120,7 +120,7 @@ val attr_at : t -> int -> string -> value option
 
 (** Replace node [i]'s attributes (interning keys, re-sorting) in an
     overlay over the immutable arena; spans, indexes and previously
-    fetched {!node} records are untouched — the incremental store's
+    fetched {!node} records are untouched — the tracked query handle's
     attribute-edit fast path.  A subsequent {!to_bytes} re-encodes.
     Raises [Invalid_argument] on a bad index. *)
 val patch_attrs : t -> int -> (string * Model.attr_value) list -> unit

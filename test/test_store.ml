@@ -1,14 +1,12 @@
-(* Tests for the incremental model store: index-path addressing on the
-   core model, edits + journal + spine invalidation, incremental derived
-   attributes vs from-scratch recomputation, the tracked query handle,
-   the pipeline session's dirty-stage refresh, the store-backed
-   bootstrap, and submodel splicing. *)
+(* Tests for the revision-tracked model store: index-path addressing on
+   the core model, edits and their coded errors, the edit journal and
+   its compaction, and the tracked query handle that derives values
+   incrementally from the journal. *)
 
 open Xpdl_core
 module Store = Xpdl_store.Store
 module Aggregate = Xpdl_energy.Aggregate
 module Query = Xpdl_query.Query
-module Splice = Xpdl_compose.Splice
 
 let model = Testlib.model
 
@@ -52,53 +50,41 @@ let test_index_paths () =
     (Model.index_path_where (fun e -> Model.identifier e = Some "core2") m)
 
 (* ------------------------------------------------------------------ *)
-(* Store edits, journal, derived caches *)
+(* Store edits and the journal *)
 
-let test_store_edit_and_derive () =
+let test_store_edit () =
   let store = Store.of_model (small_tree ()) in
+  let before = Store.model store in
   Alcotest.(check int) "size" 5 (Store.size store);
-  Alcotest.check approx "initial static power" 36. (Store.static_power store);
-  Alcotest.(check int) "cores" 2 (Store.core_count store);
-  Alcotest.(check int) "all nodes cached" 5 (Store.cached_nodes store);
   Store.set_attr store [ 0; 0 ] "static_power" (watts 3.);
   Alcotest.(check int) "revision bumped" 1 (Store.revision store);
-  (* only the spine root->cpu1->core1 lost its memo *)
-  Alcotest.(check int) "spine invalidated" 2 (Store.cached_nodes store);
-  Alcotest.check approx "re-derived" 37. (Store.static_power store);
-  Alcotest.check approx "matches from-scratch" 37. (Aggregate.static_power (Store.model store));
-  Alcotest.(check int) "cache repopulated" 5 (Store.cached_nodes store);
-  (* subtree-granular query *)
-  Alcotest.check approx "cpu1 subtree" 13. (Store.static_power_at store [ 0 ]);
-  Alcotest.(check int) "cpu2 cores" 1 (Store.core_count_at store [ 1 ])
+  Alcotest.check approx "edit visible from scratch" 37. (Aggregate.static_power (Store.model store));
+  Alcotest.check approx "earlier snapshot untouched" 36. (Aggregate.static_power before);
+  Alcotest.(check bool)
+    "off-spine subtree shared" true
+    (List.nth (Store.model store).Model.children 1 == List.nth before.Model.children 1)
 
 let test_store_structural_edits () =
   let store = Store.of_model (small_tree ()) in
-  ignore (Store.static_power store);
+  let static_power () = Aggregate.static_power (Store.model store) in
   Store.insert_child store [ 1 ]
     (Model.make Schema.Core ~id:"core3" ~attrs:[ ("static_power", watts 8.) ]);
-  Alcotest.check approx "insert counted" 44. (Store.static_power store);
-  Alcotest.(check int) "three cores" 3 (Store.core_count store);
+  Alcotest.check approx "insert counted" 44. (static_power ());
+  Alcotest.(check int) "three cores" 3 (Aggregate.core_count (Store.model store));
   let removed = Store.remove_child store [ 0 ] 0 in
   Alcotest.(check (option string)) "removed core1" (Some "core1") (Model.identifier removed);
-  Alcotest.check approx "removal counted" 42. (Store.static_power store);
+  Alcotest.check approx "removal counted" 42. (static_power ());
   Store.replace_subtree store [ 0 ]
     (Model.make Schema.Cpu ~id:"cpu1b" ~attrs:[ ("static_power", watts 1.) ]);
-  Alcotest.check approx "replace counted" 33. (Store.static_power store);
-  Alcotest.check approx "always equals from-scratch" (Aggregate.static_power (Store.model store))
-    (Store.static_power store)
+  Alcotest.check approx "replace counted" 33. (static_power ());
+  Alcotest.(check int) "three structural edits" 3 (Store.revision store)
 
 let test_store_addressing () =
   let store = Store.of_model (model "liu_gpu_server") in
-  (match Store.resolve store "liu_gpu_server" with
-  | Some [] -> ()
-  | _ -> Alcotest.fail "root scope path should resolve to []");
-  (match Store.resolve store "liu_gpu_server/gpu1" with
-  | Some p ->
-      Alcotest.(check (option string))
-        "resolve round-trips" (Some "gpu1")
-        (Option.bind (Store.element_at store p) Model.identifier)
-  | None -> Alcotest.fail "gpu1 should resolve");
-  Alcotest.(check bool) "unknown scope" true (Store.resolve store "no/such/element" = None);
+  Alcotest.(check (option string))
+    "root at []" (Some "liu_gpu_server")
+    (Option.bind (Store.element_at store []) Model.identifier);
+  Alcotest.(check bool) "dangling path" true (Store.element_at store [ 999 ] = None);
   let cores = Store.find_paths store (fun e -> Schema.equal_kind e.Model.kind Schema.Core) in
   Alcotest.(check bool) "many cores found" true (List.length cores > 4)
 
@@ -153,20 +139,19 @@ let test_store_journal () =
   Alcotest.(check bool) "compacted past 0" true (Store.edits_since store 0 = None);
   let r = Store.revision store in
   match Store.edits_since store (r - 5) with
-  | Some l -> Alcotest.(check int) "recent window survives" 5 (List.length l)
+  | Some l ->
+      Alcotest.(check (list int))
+        "recent window survives, oldest first"
+        (List.init 5 (fun i -> r - 4 + i))
+        (List.map (fun e -> e.Store.e_rev) l)
   | None -> Alcotest.fail "recent edits must stay replayable"
-
-let test_store_custom_derived () =
-  let store = Store.of_model (small_tree ()) in
-  let d = Store.derive ~name:"cpu_count" Aggregate.(sum_rule "static_power") in
-  Alcotest.(check string) "name kept" "cpu_count" (Store.derived_name d);
-  Alcotest.check approx "custom rule evaluates" 36. (Store.get store d);
-  Store.set_attr store [ 1; 0 ] "static_power" (watts 5.);
-  Alcotest.check approx "custom rule tracks edits" 37. (Store.get store d);
-  Alcotest.check approx "subtree query" 25. (Store.get_at store d [ 1 ])
 
 (* ------------------------------------------------------------------ *)
 (* Tracked query handles *)
+
+let gpu_host_path store =
+  Option.get
+    (Model.index_path_where (fun e -> Model.identifier e = Some "gpu_host") (Store.model store))
 
 let test_query_of_store_attr_patch () =
   let store = Store.of_model (model "liu_gpu_server") in
@@ -176,7 +161,7 @@ let test_query_of_store_attr_patch () =
   let sp0 = Query.total_static_power q in
   let ir0 = Query.runtime_ir q in
   (* attribute edit: the tracked handle patches the IR in place *)
-  let path = Option.get (Store.resolve store "liu_gpu_server/gpu_host") in
+  let path = gpu_host_path store in
   Store.set_attr store path "static_power" (watts 99.);
   let sp1 = Query.total_static_power q in
   Alcotest.(check bool) "IR patched, not rebuilt" true (Query.runtime_ir q == ir0);
@@ -189,7 +174,7 @@ let test_query_of_store_structural_rebuild () =
   let q = Query.of_store store in
   let n0 = Query.count_cores q in
   let ir0 = Query.runtime_ir q in
-  let path = Option.get (Store.resolve store "liu_gpu_server/gpu_host") in
+  let path = gpu_host_path store in
   Store.insert_child store path (Model.make Schema.Core ~id:"extra_core");
   Alcotest.(check int) "structural edit visible" (n0 + 1) (Query.count_cores q);
   Alcotest.(check bool) "IR rebuilt on structure" false (Query.runtime_ir q == ir0);
@@ -200,38 +185,34 @@ let test_query_of_store_structural_rebuild () =
     "new node addressable" true
     (Query.find_by_id q "extra_core" <> None)
 
-(* ------------------------------------------------------------------ *)
-(* Splicing *)
-
-let test_splice_attach_detach () =
+(* An attribute edit evicts exactly the memo entries whose subtree
+   covers the edited node; entries for disjoint subtrees survive.  A
+   value patched into the IR behind the handle's back (no journal entry,
+   no eviction) is seen by a recomputation only, so reading it back
+   tells a surviving entry from a re-derived one. *)
+let test_query_within_eviction () =
   let store = Store.of_model (small_tree ()) in
-  ignore (Store.static_power store);
-  let sub =
-    Model.make Schema.Device ~id:"acc"
-      ~children:[ Model.make Schema.Core ~id:"acc_core" ~attrs:[ ("static_power", watts 6.) ] ]
+  let q = Query.of_store store in
+  let sp id = Query.total_static_power ~within:(Query.find_by_id_exn q id) q in
+  let root () = Query.total_static_power q in
+  let patch_behind id w =
+    let i = (Query.find_by_id_exn q id).Xpdl_toolchain.Ir.n_index in
+    Xpdl_toolchain.Ir.patch_attrs (Query.runtime_ir q) i [ ("static_power", watts w) ]
   in
-  let p = Splice.attach store ~at:[ 1 ] sub in
-  Alcotest.(check (list int)) "attached as last child" [ 1; 1 ] p;
-  Alcotest.check approx "graft counted" 42. (Store.static_power store);
-  let moved = Splice.graft store ~from_:p ~to_:[ 0 ] in
-  Alcotest.(check (list int)) "moved under cpu1" [ 0; 1 ] moved;
-  Alcotest.check approx "total invariant under graft" 42. (Store.static_power store);
-  Alcotest.check approx "cpu1 gained the device" 18. (Store.static_power_at store [ 0 ]);
-  let back = Splice.detach_scope store "sys/cpu1/acc" in
-  Alcotest.(check (option string)) "detached submodel" (Some "acc") (Model.identifier back);
-  Alcotest.check approx "back to base" 36. (Store.static_power store);
-  Alcotest.check approx "still = from-scratch" (Aggregate.static_power (Store.model store))
-    (Store.static_power store)
-
-let test_splice_rebase () =
-  Alcotest.(check (option (list int))) "later sibling shifts" (Some [ 1 ])
-    (Splice.rebase ~removed:[ 0 ] [ 2 ]);
-  Alcotest.(check (option (list int))) "inside removed is orphaned" None
-    (Splice.rebase ~removed:[ 1 ] [ 1; 0 ]);
-  Alcotest.(check (option (list int))) "unrelated untouched" (Some [ 0; 3 ])
-    (Splice.rebase ~removed:[ 1 ] [ 0; 3 ]);
-  Alcotest.(check (option (list int))) "ancestor untouched" (Some [])
-    (Splice.rebase ~removed:[ 1; 2 ] [])
+  Alcotest.check approx "cpu1 memoized" 12. (sp "cpu1");
+  Alcotest.check approx "cpu2 memoized" 24. (sp "cpu2");
+  Alcotest.check approx "root memoized" 36. (root ());
+  Store.set_attr store [ 0; 0 ] "static_power" (watts 3.);
+  Alcotest.check approx "cpu1 re-derived" 13. (sp "cpu1");
+  Alcotest.check approx "root re-derived" 37. (root ());
+  patch_behind "core2" 100.;
+  Alcotest.check approx "cpu2 kept" 24. (sp "cpu2");
+  (* the edit under cpu2 also re-patches core2 from the store *)
+  Store.set_attr store [ 1; 0 ] "static_power" (watts 5.);
+  Alcotest.check approx "cpu2 re-derived" 25. (sp "cpu2");
+  Alcotest.check approx "root re-derived after cpu2 edit" 38. (root ());
+  patch_behind "core1" 100.;
+  Alcotest.check approx "cpu1 kept" 13. (sp "cpu1")
 
 (* ------------------------------------------------------------------ *)
 
@@ -242,22 +223,17 @@ let () =
         [ case "index path addressing" test_index_paths ] );
       ( "store",
         [
-          case "edit + derive" test_store_edit_and_derive;
+          case "edit" test_store_edit;
           case "structural edits" test_store_structural_edits;
           case "addressing" test_store_addressing;
           case "coded errors" test_store_errors;
           case "raw edits elaborate" test_store_raw_edit;
           case "journal + compaction" test_store_journal;
-          case "custom derived" test_store_custom_derived;
         ] );
       ( "query",
         [
           case "attr patch sync" test_query_of_store_attr_patch;
           case "structural rebuild sync" test_query_of_store_structural_rebuild;
-        ] );
-      ( "splice",
-        [
-          case "attach/graft/detach" test_splice_attach_detach;
-          case "rebase" test_splice_rebase;
+          case "within eviction" test_query_within_eviction;
         ] );
     ]
