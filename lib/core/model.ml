@@ -127,9 +127,21 @@ let remove_attr e key = { e with attrs = List.filter (fun (k, _) -> not (String.
 
 (** {1 Tree traversal} *)
 
-let rec fold f acc e = List.fold_left (fold f) (f acc e) e.children
+(* The walks recurse over child lists directly: [List.fold_left (fold f)]
+   would allocate a closure for every node visited. *)
+let rec fold f acc e = fold_list f (f acc e) e.children
 
-let iter f e = fold (fun () x -> f x) () e
+and fold_list f acc = function [] -> acc | c :: rest -> fold_list f (fold f acc c) rest
+
+let rec iter f e =
+  f e;
+  iter_list f e.children
+
+and iter_list f = function
+  | [] -> ()
+  | c :: rest ->
+      iter f c;
+      iter_list f rest
 
 let size e = fold (fun n _ -> n + 1) 0 e
 
@@ -151,8 +163,11 @@ let is_metadata_subtree = function
 (** Like {!fold} but skipping metadata subtrees (power models, ISAs,
     microbenchmarks, software) — the walk over {e physical} hardware. *)
 let rec hardware_fold f acc e =
-  if is_metadata_subtree e.kind then acc
-  else List.fold_left (hardware_fold f) (f acc e) e.children
+  if is_metadata_subtree e.kind then acc else hardware_fold_list f (f acc e) e.children
+
+and hardware_fold_list f acc = function
+  | [] -> acc
+  | c :: rest -> hardware_fold_list f (hardware_fold f acc c) rest
 
 (** Physical hardware elements of one kind: like {!elements_of_kind} but
     excluding power-domain member selectors and other metadata. *)

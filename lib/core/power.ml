@@ -213,19 +213,36 @@ let extract_suite (e : Model.element) : suite =
     su_benches = List.map extract_microbenchmark (Model.children_of_kind e Schema.Microbenchmark);
   }
 
+(* The four element kinds a power model is extracted from. *)
+let is_part = function
+  | Schema.Power_domains | Schema.Power_state_machine | Schema.Instructions
+  | Schema.Microbenchmarks ->
+      true
+  | _ -> false
+
+(** The power model of [root] from its power-model elements in document
+    order, as a caller's own walk of [root] collected them. *)
+let of_parts ~(root : Model.element) (parts : Model.element list) : t =
+  let extract kind f =
+    List.filter_map
+      (fun (p : Model.element) -> if Schema.equal_kind p.kind kind then Some (f p) else None)
+      parts
+  in
+  {
+    pm_name = Model.identifier root;
+    pm_domains = List.concat (extract Schema.Power_domains extract_domains);
+    pm_machines = extract Schema.Power_state_machine extract_state_machine;
+    pm_isas = extract Schema.Instructions extract_isa;
+    pm_suites = extract Schema.Microbenchmarks extract_suite;
+  }
+
 (** Extract every power-modeling structure present in the subtree of [e]
-    (power models may be referenced from CPUs or stand alone). *)
+    (power models may be referenced from CPUs or stand alone), in one
+    walk. *)
 let of_element (e : Model.element) : t =
-  let domains =
-    List.concat_map extract_domains (Model.elements_of_kind Schema.Power_domains e)
-  in
-  let machines =
-    List.map extract_state_machine (Model.elements_of_kind Schema.Power_state_machine e)
-  in
-  let isas = List.map extract_isa (Model.elements_of_kind Schema.Instructions e) in
-  let suites = List.map extract_suite (Model.elements_of_kind Schema.Microbenchmarks e) in
-  { pm_name = Model.identifier e; pm_domains = domains; pm_machines = machines; pm_isas = isas;
-    pm_suites = suites }
+  of_parts ~root:e
+    (List.rev
+       (Model.fold (fun acc (x : Model.element) -> if is_part x.kind then x :: acc else acc) [] e))
 
 (** {1 Well-formedness of state machines}
 

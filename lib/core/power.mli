@@ -96,6 +96,16 @@ val extract_suite : Model.element -> suite
 (** Extract every power-modeling structure present in the subtree. *)
 val of_element : Model.element -> t
 
+(** The element kinds a power model is extracted from:
+    [<power_domains>], [<power_state_machine>], [<instructions>] and
+    [<microbenchmarks>]. *)
+val is_part : Schema.kind -> bool
+
+(** [of_parts ~root parts] is [of_element root] when [parts] lists, in
+    document order, every element of [root]'s subtree whose kind
+    satisfies {!is_part} — for a caller that walks the tree anyway. *)
+val of_parts : root:Model.element -> Model.element list -> t
+
 (** Internal consistency of a state machine: duplicate states, dangling
     transition endpoints, negative costs, unreachable states. *)
 val validate_state_machine : state_machine -> Diagnostic.t list

@@ -24,16 +24,18 @@ let is_valid_identifier s =
 
 let check_identifiers (root : Model.element) =
   let diags = ref [] in
+  let check (e : Model.element) = function
+    | Some ident when not (is_valid_identifier ident) ->
+        diags :=
+          Diagnostic.error ~code:"XPDL201" ~pos:e.pos "ill-formed identifier %S on <%s>" ident
+            (Schema.tag_of_kind e.kind)
+          :: !diags
+    | Some _ | None -> ()
+  in
   Model.iter
     (fun (e : Model.element) ->
-      List.iter
-        (fun ident ->
-          if not (is_valid_identifier ident) then
-            diags :=
-              Diagnostic.error ~code:"XPDL201" ~pos:e.pos "ill-formed identifier %S on <%s>" ident
-                (Schema.tag_of_kind e.kind)
-              :: !diags)
-        (Option.to_list e.name @ Option.to_list e.id))
+      check e e.name;
+      check e e.id)
     root;
   List.rev !diags
 
@@ -58,19 +60,22 @@ let check_required_attrs (root : Model.element) =
 let check_unique_ids (root : Model.element) =
   let diags = ref [] in
   let check_scope (e : Model.element) =
-    let seen = Hashtbl.create 8 in
-    List.iter
-      (fun (c : Model.element) ->
-        match c.id with
-        | Some ident ->
-            if Hashtbl.mem seen ident then
-              diags :=
-                Diagnostic.error ~code:"XPDL203" ~pos:c.pos "duplicate id %S within <%s>" ident
-                  (Schema.tag_of_kind e.kind)
-                :: !diags
-            else Hashtbl.add seen ident ()
-        | None -> ())
-      e.children
+    match e.children with
+    | [] | [ _ ] -> ()
+    | children ->
+        let seen = Hashtbl.create 8 in
+        List.iter
+          (fun (c : Model.element) ->
+            match c.id with
+            | Some ident ->
+                if Hashtbl.mem seen ident then
+                  diags :=
+                    Diagnostic.error ~code:"XPDL203" ~pos:c.pos "duplicate id %S within <%s>" ident
+                      (Schema.tag_of_kind e.kind)
+                    :: !diags
+                else Hashtbl.add seen ident ()
+            | None -> ())
+          children
   in
   Model.iter check_scope root;
   List.rev !diags
@@ -79,24 +84,27 @@ let check_unique_ids (root : Model.element) =
    the same system/node scope. *)
 let check_interconnect_endpoints (root : Model.element) =
   let diags = ref [] in
+  (* every id and name in the scope, built on the scope's first
+     interconnect *)
   let ids_in scope =
-    Model.fold
-      (fun acc (e : Model.element) ->
+    let known = Hashtbl.create 64 in
+    Model.iter
+      (fun (e : Model.element) ->
         match (e.id, e.name) with
-        | Some i, _ -> i :: acc
-        | None, Some n -> n :: acc
-        | None, None -> acc)
-      [] scope
+        | Some i, _ | None, Some i -> Hashtbl.replace known i ()
+        | None, None -> ())
+      scope;
+    known
   in
   let check_in_scope (scope : Model.element) =
-    let known = ids_in scope in
+    let known = lazy (ids_in scope) in
     Model.iter
       (fun (e : Model.element) ->
         if e.kind = Schema.Interconnect then
           List.iter
             (fun key ->
               match Model.attr_string e key with
-              | Some endpoint when not (List.mem endpoint known) ->
+              | Some endpoint when not (Hashtbl.mem (Lazy.force known) endpoint) ->
                   diags :=
                     Diagnostic.error ~code:"XPDL204" ~pos:e.pos
                       "interconnect %s: %s endpoint %S does not name a component in this system"
@@ -113,13 +121,12 @@ let check_interconnect_endpoints (root : Model.element) =
   (match systems with [] -> check_in_scope root | _ -> List.iter check_in_scope systems);
   List.rev !diags
 
-let check_power_models (root : Model.element) =
-  let pm = Power.of_element root in
-  List.concat_map Power.validate_state_machine pm.pm_machines
+(* The two power checks read one extracted power model; {!run} extracts
+   it once for both. *)
+let power_model_diags (pm : Power.t) = List.concat_map Power.validate_state_machine pm.pm_machines
 
-let check_microbenchmark_refs (root : Model.element) =
+let microbenchmark_ref_diags (pm : Power.t) =
   let diags = ref [] in
-  let pm = Power.of_element root in
   let suite_ids = List.map (fun s -> s.Power.su_id) pm.pm_suites in
   let bench_ids = List.concat_map (fun s -> List.map (fun b -> b.Power.mb_id) s.Power.su_benches) pm.pm_suites in
   List.iter
@@ -144,28 +151,41 @@ let check_microbenchmark_refs (root : Model.element) =
     pm.pm_isas;
   List.rev !diags
 
+let check_power_models root = power_model_diags (Power.of_element root)
+let check_microbenchmark_refs root = microbenchmark_ref_diags (Power.of_element root)
+
 (* When a lookup into the repository is available, referenced meta-models
    must exist. *)
 let check_references ?(lookup : Inheritance.lookup option) (root : Model.element) =
   match lookup with
   | None -> []
-  | Some lookup ->
-      let defined_here name = Model.find_by_name name root <> None in
-      List.filter_map
-        (fun name ->
-          if defined_here name || lookup name <> None then None
-          else Some (Diagnostic.error ~code:"XPDL208" ~pos:root.pos "unresolved meta-model reference %S" name))
-        (Model.referenced_types root)
+  | Some lookup -> (
+      match Model.referenced_types root with
+      | [] -> []
+      | referenced ->
+          (* one set of the names defined in the tree, not a walk per
+             reference *)
+          let defined = Hashtbl.create 64 in
+          Model.iter
+            (fun (e : Model.element) ->
+              match e.name with Some n -> Hashtbl.replace defined n () | None -> ())
+            root;
+          List.filter_map
+            (fun name ->
+              if Hashtbl.mem defined name || lookup name <> None then None
+              else
+                Some
+                  (Diagnostic.error ~code:"XPDL208" ~pos:root.pos
+                     "unresolved meta-model reference %S" name))
+            referenced)
 
 (** Run every check.  [lookup] enables cross-descriptor reference checks. *)
 let run ?lookup (root : Model.element) : Diagnostic.t list =
+  let pm = Power.of_element root in
   check_identifiers root
   @ check_required_attrs root
   @ check_unique_ids root
   @ check_interconnect_endpoints root
-  @ check_power_models root
-  @ check_microbenchmark_refs root
+  @ power_model_diags pm
+  @ microbenchmark_ref_diags pm
   @ check_references ?lookup root
-
-(** True if [run] yields no errors (warnings allowed). *)
-let is_valid ?lookup root = Diagnostic.all_ok (run ?lookup root)

@@ -26,6 +26,3 @@ val check_references : ?lookup:Inheritance.lookup -> Model.element -> Diagnostic
 
 (** Run every check. *)
 val run : ?lookup:Inheritance.lookup -> Model.element -> Diagnostic.t list
-
-(** True if {!run} yields no errors (warnings allowed). *)
-val is_valid : ?lookup:Inheritance.lookup -> Model.element -> bool

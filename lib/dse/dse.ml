@@ -1,5 +1,5 @@
 (** Design-space exploration over parameterized platform templates
-    (ROADMAP item 3; Klarhorst et al.'s DSE-for-many-core workload).
+    (the DSE-for-many-core workload of Klarhorst et al.).
 
     A {e template} is an elaborated — but not yet instantiated — XPDL
     element whose [<param>] declarations carry [range] ladders: exactly
@@ -18,9 +18,9 @@
 
     Points whose [range]/[constraint] checks fail are {e pruned} with
     coded diagnostics (XPDL803 wrapping the XPDL21x cause) rather than
-    aborting the sweep; points whose bootstrap degrades ride the PR 5
-    quality ladder and keep their provenance in the per-point report
-    (XPDL805).  Evaluation is embarrassingly parallel across
+    aborting the sweep; points whose bootstrap degrades ride the
+    resilient bootstrap's quality ladder and keep their provenance in
+    the per-point report (XPDL805).  Evaluation is embarrassingly parallel across
     configurations on OCaml 5 domains with a chunked shared queue;
     every point's result lands in a slot fixed by its grid index and
     all per-point randomness is derived from (sweep seed, grid index),

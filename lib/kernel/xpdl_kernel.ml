@@ -34,9 +34,9 @@ module Strtab = struct
   let create () = { ids = Hashtbl.create 64; rev = []; count = 0; blob = 0 }
 
   let intern t s =
-    match Hashtbl.find_opt t.ids s with
-    | Some i -> i
-    | None ->
+    match Hashtbl.find t.ids s with
+    | i -> i
+    | exception Not_found ->
         let i = t.count in
         Hashtbl.add t.ids s i;
         t.rev <- s :: t.rev;

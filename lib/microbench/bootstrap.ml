@@ -232,7 +232,7 @@ let run ?(opts = default_options) ?machine (root : Model.element) :
   let machine =
     match machine with Some m -> m | None -> Xpdl_simhw.Machine.create root
   in
-  let pm = Power.of_element root in
+  let pm = Xpdl_simhw.Machine.power_model machine root in
   let results =
     List.concat_map (fun isa -> run_isa ~opts machine isa pm.Power.pm_suites) pm.Power.pm_isas
   in

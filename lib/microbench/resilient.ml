@@ -277,7 +277,7 @@ let current_hz machine =
 let run_store ?(policy = default_policy) ?machine (store : Store.t) : health =
   let model = Store.model store in
   let machine = match machine with Some m -> m | None -> Machine.create model in
-  let pm = Power.of_element model in
+  let pm = Machine.power_model machine model in
   let instr_info name =
     List.find_map
       (fun (isa : Power.isa) ->

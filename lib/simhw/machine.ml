@@ -48,49 +48,8 @@ type t = {
   latencies : (string, int) Hashtbl.t;
       (** instruction → declared latency (cycles), from the first ISA in
           model order that gives it one *)
+  power : Power.t;  (** the power model of [model], extracted once *)
 }
-
-(* An element without name or id is named after its kind and [counter];
-   the fallback is built only for those. *)
-let path_ident prefix (e : Model.element) ~counter =
-  let i =
-    match Model.identifier e with
-    | Some i -> i
-    | None -> Schema.tag_of_kind e.kind ^ string_of_int counter
-  in
-  if prefix = "" then i else prefix ^ "/" ^ i
-
-(* Collect cores with their path identifiers and clock frequencies. *)
-let collect_cores (root : Model.element) : core list =
-  let acc = ref [] in
-  let counter = ref 0 in
-  let rec walk prefix (e : Model.element) =
-    if Model.is_metadata_subtree e.kind then ()
-    else begin
-    let ident = path_ident prefix e ~counter:!counter in
-    (if Schema.equal_kind e.kind Schema.Core then begin
-       incr counter;
-       let hz =
-         match Model.attr_quantity e "frequency" with
-         | Some q -> Xpdl_units.Units.value q
-         | None -> 1.0e9
-       in
-       acc :=
-         {
-           core_ident = ident;
-           core_element = e;
-           hz;
-           nominal_hz = hz;
-           isa = Model.attr_string e "isa";
-           core_offline = false;
-         }
-         :: !acc
-     end);
-    List.iter (walk ident) e.children
-    end
-  in
-  walk "" root;
-  List.rev !acc
 
 (* Hidden defaults for "?" link offsets, stable per link name. *)
 let default_time_offset name =
@@ -104,48 +63,43 @@ let channel_float (e : Model.element) key default =
   | Some q -> Xpdl_units.Units.value q
   | None -> default
 
-let collect_links (root : Model.element) : link list =
-  let links = Model.elements_of_kind Schema.Interconnect root in
-  List.filter_map
-    (fun (ic : Model.element) ->
-      let ident = Option.value ~default:"link" (Model.identifier ic) in
-      let channels = Model.elements_of_kind Schema.Channel ic in
-      (* aggregate over channels: a transfer uses one direction; take the
-         first channel as representative (they are symmetric in our
-         models) *)
-      let bw, toff, epb, eoff =
-        match channels with
-        | [] ->
-            ( channel_float ic "max_bandwidth" 1e9,
-              default_time_offset ident,
-              10e-12,
-              default_energy_offset ident )
-        | ch :: _ ->
-            ( channel_float ch "max_bandwidth" 1e9,
-              (if Model.attr_is_unknown ch "time_offset_per_message" then
-                 default_time_offset ident
-               else channel_float ch "time_offset_per_message" (default_time_offset ident)),
-              channel_float ch "energy_per_byte" 10e-12,
-              if Model.attr_is_unknown ch "energy_offset_per_message" then
-                default_energy_offset ident
-              else channel_float ch "energy_offset_per_message" (default_energy_offset ident) )
-      in
-      if bw <= 0. then None
-      else
-        Some
-          {
-            link_ident = ident;
-            head = Model.attr_string ic "head";
-            tail = Model.attr_string ic "tail";
-            bandwidth = bw;
-            time_offset = toff;
-            energy_per_byte = epb;
-            energy_offset = eoff;
-          })
-    links
+let link_of (ic : Model.element) : link option =
+  let ident = Option.value ~default:"link" (Model.identifier ic) in
+  let channels = Model.elements_of_kind Schema.Channel ic in
+  (* aggregate over channels: a transfer uses one direction; take the
+     first channel as representative (they are symmetric in our
+     models) *)
+  let bw, toff, epb, eoff =
+    match channels with
+    | [] ->
+        ( channel_float ic "max_bandwidth" 1e9,
+          default_time_offset ident,
+          10e-12,
+          default_energy_offset ident )
+    | ch :: _ ->
+        ( channel_float ch "max_bandwidth" 1e9,
+          (if Model.attr_is_unknown ch "time_offset_per_message" then default_time_offset ident
+           else channel_float ch "time_offset_per_message" (default_time_offset ident)),
+          channel_float ch "energy_per_byte" 10e-12,
+          if Model.attr_is_unknown ch "energy_offset_per_message" then default_energy_offset ident
+          else channel_float ch "energy_offset_per_message" (default_energy_offset ident) )
+  in
+  if bw <= 0. then None
+  else
+    Some
+      {
+        link_ident = ident;
+        head = Model.attr_string ic "head";
+        tail = Model.attr_string ic "tail";
+        bandwidth = bw;
+        time_offset = toff;
+        energy_per_byte = epb;
+        energy_offset = eoff;
+      }
 
 (** Sum of declared [static_power] over all hardware components: the
-    paper's synthesized static power of the root (Sec. III-D). *)
+    paper's synthesized static power of the root (Sec. III-D).  {!create}
+    sums the same terms, in the same order, in its own walk. *)
 let total_static_power (root : Model.element) =
   Model.hardware_fold
     (fun acc (e : Model.element) ->
@@ -156,8 +110,7 @@ let total_static_power (root : Model.element) =
       else acc)
     0. root
 
-let mean_memory_costs (root : Model.element) =
-  let mems = Model.elements_of_kind Schema.Memory root in
+let mean_memory_costs mems =
   let es, ts =
     List.fold_left
       (fun (es, ts) m ->
@@ -175,52 +128,136 @@ let mean_memory_costs (root : Model.element) =
   in
   (mean 5e-9 es, mean 60e-9 ts)
 
+(* The path identifier of the core at [depth]: its ancestors' segments
+   and its own joined by '/', leading empty segments dropped. *)
+let core_path (segs : string array) depth =
+  let first = ref 0 in
+  while !first < depth && String.length segs.(!first) = 0 do
+    incr first
+  done;
+  let len = ref (depth - !first) in
+  for k = !first to depth do
+    len := !len + String.length segs.(k)
+  done;
+  let b = Bytes.create !len in
+  let pos = ref 0 in
+  for k = !first to depth do
+    if k > !first then begin
+      Bytes.unsafe_set b !pos '/';
+      incr pos
+    end;
+    Bytes.blit_string segs.(k) 0 b !pos (String.length segs.(k));
+    pos := !pos + String.length segs.(k)
+  done;
+  Bytes.unsafe_to_string b
+
 (** Build a simulated machine from a composed model.  [seed] fixes the
     measurement-noise stream; [noise_sigma] is the relative noise of the
     simulated power meter (2% by default, a realistic external-meter
-    figure). *)
+    figure).
+
+    One preorder walk collects everything the machine reads: the cores
+    and the static power of the physical hardware (metadata subtrees
+    skipped), and, anywhere in the tree, the interconnects, the memories
+    and the power-model elements. *)
 let create ?(seed = 42) ?(noise_sigma = 0.02) (model : Model.element) : t =
-  let isas = (Power.of_element model).pm_isas in
-  let truth =
-    match isas with
-    | isa :: _ -> Truth.of_isa ~noise_sigma isa
-    | [] -> Truth.synthetic ~noise_sigma ()
+  let cores = ref [] and links = ref [] and mems = ref [] and parts = ref [] in
+  let static_power = ref 0. in
+  (* cores seen so far: an element without name or id is named after
+     its kind and this count *)
+  let counter = ref 0 in
+  (* identifier segments of the current hardware ancestry, by depth *)
+  let segs = ref (Array.make 16 "") in
+  let rec walk depth hardware (e : Model.element) =
+    let hardware = hardware && not (Model.is_metadata_subtree e.kind) in
+    if hardware then begin
+      if depth = Array.length !segs then segs := Array.append !segs (Array.make depth "");
+      !segs.(depth) <-
+        (match Model.identifier e with
+        | Some i -> i
+        | None -> Schema.tag_of_kind e.kind ^ string_of_int !counter);
+      (if Schema.is_hardware e.kind then
+         match Model.attr_quantity e "static_power" with
+         | Some q -> static_power := !static_power +. Xpdl_units.Units.value q
+         | None -> ());
+      if Schema.equal_kind e.kind Schema.Core then begin
+        incr counter;
+        let hz =
+          match Model.attr_quantity e "frequency" with
+          | Some q -> Xpdl_units.Units.value q
+          | None -> 1.0e9
+        in
+        cores :=
+          {
+            core_ident = core_path !segs depth;
+            core_element = e;
+            hz;
+            nominal_hz = hz;
+            isa = Model.attr_string e "isa";
+            core_offline = false;
+          }
+          :: !cores
+      end
+    end;
+    (match e.kind with
+    | Schema.Interconnect -> links := e :: !links
+    | Schema.Memory -> mems := e :: !mems
+    | kind -> if Power.is_part kind then parts := e :: !parts);
+    walk_list (depth + 1) hardware e.children
+  and walk_list depth hardware = function
+    | [] -> ()
+    | c :: rest ->
+        walk depth hardware c;
+        walk_list depth hardware rest
   in
-  (* register every ISA's concrete entries; an instruction's first
-     declared latency, in model order, wins *)
-  let latencies = Hashtbl.create 64 in
+  walk 0 true model;
+  let power = Power.of_parts ~root:model (List.rev !parts) in
+  (* the first ISA seeds the truth; later ISAs' concrete entries
+     override it, and an instruction's first declared latency, in model
+     order, wins *)
+  let truth, later =
+    match power.pm_isas with
+    | isa :: rest -> (Truth.of_isa ~noise_sigma isa, rest)
+    | [] -> (Truth.synthetic ~noise_sigma (), [])
+  in
   List.iter
     (fun isa ->
       let t2 = Truth.of_isa ~noise_sigma isa in
       Hashtbl.iter (Hashtbl.replace truth.Truth.base_energy) t2.Truth.base_energy;
-      Hashtbl.iter (Hashtbl.replace truth.Truth.tables) t2.Truth.tables;
+      Hashtbl.iter (Hashtbl.replace truth.Truth.tables) t2.Truth.tables)
+    later;
+  let latencies = Hashtbl.create 64 in
+  List.iter
+    (fun (isa : Power.isa) ->
       List.iter
         (fun (i : Power.instruction) ->
           match i.in_latency with
           | Some l when not (Hashtbl.mem latencies i.in_name) -> Hashtbl.add latencies i.in_name l
           | _ -> ())
-        isa.Power.isa_instructions)
-    isas;
-  let mem_access_energy, mem_access_time = mean_memory_costs model in
+        isa.isa_instructions)
+    power.pm_isas;
+  let mem_access_energy, mem_access_time = mean_memory_costs (List.rev !mems) in
   {
     model;
-    cores = Array.of_list (collect_cores model);
-    links = Array.of_list (collect_links model);
+    cores = Array.of_list (List.rev !cores);
+    links = Array.of_list (List.filter_map link_of (List.rev !links));
     truth;
-    static_power = total_static_power model;
+    static_power = !static_power;
     mem_access_energy;
     mem_access_time;
     rng = Rng.create ~seed;
     faults = None;
     latencies;
+    power;
   }
 
 let core_count t = Array.length t.cores
 
+let power_model t model = if t.model == model then t.power else Power.of_element model
+
 (** {1 Fault injection} *)
 
 let inject_faults t plan = t.faults <- Some plan
-let clear_faults t = t.faults <- None
 let faults t = t.faults
 
 (* Pass a meter reading through the attached fault plan (identity when

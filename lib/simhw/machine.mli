@@ -40,6 +40,10 @@ type t = {
           {!create}: the first ISA in model order that declares the
           instruction with a latency gives it.  Instructions absent here
           get {!Truth.latency_cycles}' synthesized value. *)
+  power : Power.t;
+      (** the power model of [model], extracted once by {!create}; a
+          bootstrap over the same model reads it through {!power_model}
+          instead of extracting it again *)
 }
 
 (** Sum of declared [static_power] over all physical hardware. *)
@@ -51,6 +55,11 @@ val create : ?seed:int -> ?noise_sigma:float -> Model.element -> t
 
 val core_count : t -> int
 
+(** The power model of [model]: the machine's own [power] when the
+    machine was built from this very model (physical equality), a fresh
+    {!Power.of_element} otherwise. *)
+val power_model : t -> Model.element -> Power.t
+
 (** {1 Fault injection}
 
     With a {!Faults.plan} attached, every meter reading (instruction
@@ -61,7 +70,6 @@ val core_count : t -> int
     {!Faults.Core_offline}.  Without a plan behavior is unchanged. *)
 
 val inject_faults : t -> Faults.plan -> unit
-val clear_faults : t -> unit
 val faults : t -> Faults.plan option
 
 (** Find a core by its full path identifier or basename. *)

@@ -228,60 +228,162 @@ let dim_of_code = function
 (** {1 Encoder}
 
     All construction paths — {!of_model} and re-encoding a patched
-    arena — funnel through one encoder over a neutral node
-    description, so there is exactly one writer of the v2 layout.
-    Tables are interned in first-appearance order (deterministic given
-    the input, independent of the process-global {!Keys} pool), and
-    per-node attributes are sorted by local key id, so encoding the same
-    logical model always yields identical bytes. *)
-
-type enc_node = {
-  ek : string;  (** kind tag *)
-  eid : string option;
-  ety : string option;
-  eattrs : (string * value) list;
-  eend : int;  (** exclusive preorder span end; parents are derived *)
-}
+    arena — append nodes in preorder to one column writer, so there is
+    exactly one writer of the v2 layout.  Each node goes straight into
+    growable columns: no intermediate node list, record or boxed
+    payload.  Tables are interned in first-appearance order (per node:
+    kind, ident, type, then each attribute's key followed by its string
+    value), which is deterministic given the input and independent of
+    the process-global {!Keys} pool, and each node's attributes are
+    sorted by local key id, so encoding the same logical model always
+    yields identical bytes. *)
 
 let w32 b o v = Bytes.set_int32_le b o (Int32.of_int v)
 let w64 b o v = Bytes.set_int64_le b o (Int64.of_int v)
 
-let encode (nodes : enc_node array) : string =
-  let n = Array.length nodes in
+type writer = {
+  kinds : Strtab.t;
+  keys : Strtab.t;
+  strs : Strtab.t;
+  mutable nodes : int;  (** nodes appended *)
+  mutable attrs : int;  (** attributes appended *)
+  mutable row : int;  (** first attribute of the node being filled *)
+  (* node columns, capacity [Bytes.length c_kind] nodes *)
+  mutable c_kind : Bytes.t;  (** u8: local kind id *)
+  mutable c_end : Bytes.t;  (** u32: span end, set when the subtree closes *)
+  mutable c_ident : Bytes.t;  (** i32 *)
+  mutable c_type : Bytes.t;  (** i32 *)
+  mutable c_off : Bytes.t;  (** u32: CSR row start *)
+  (* attribute columns, capacity [Bytes.length c_tag] attributes *)
+  mutable c_key : Bytes.t;  (** u16 *)
+  mutable c_tag : Bytes.t;  (** u8 *)
+  mutable c_val : Bytes.t;  (** u64 *)
+}
+
+let writer ~nodes ~attrs =
+  let nodes = max 1 nodes and attrs = max 1 attrs in
+  {
+    kinds = Strtab.create ();
+    keys = Strtab.create ();
+    strs = Strtab.create ();
+    nodes = 0;
+    attrs = 0;
+    row = 0;
+    c_kind = Bytes.create nodes;
+    c_end = Bytes.create (4 * nodes);
+    c_ident = Bytes.create (4 * nodes);
+    c_type = Bytes.create (4 * nodes);
+    c_off = Bytes.create (4 * nodes);
+    c_key = Bytes.create (2 * attrs);
+    c_tag = Bytes.create attrs;
+    c_val = Bytes.create (8 * attrs);
+  }
+
+let doubled b = Bytes.extend b 0 (Bytes.length b)
+
+let grow_nodes w =
+  w.c_kind <- doubled w.c_kind;
+  w.c_end <- doubled w.c_end;
+  w.c_ident <- doubled w.c_ident;
+  w.c_type <- doubled w.c_type;
+  w.c_off <- doubled w.c_off
+
+let grow_attrs w =
+  w.c_key <- doubled w.c_key;
+  w.c_tag <- doubled w.c_tag;
+  w.c_val <- doubled w.c_val
+
+let string_id w = function None -> -1 | Some s -> Strtab.intern w.strs s
+
+(* Append a node and open its attribute row; returns its id.  The span
+   end is written by {!close_node} once the subtree is complete. *)
+let open_node w kind ident ty =
+  if w.nodes = Bytes.length w.c_kind then grow_nodes w;
+  let i = w.nodes in
+  Bytes.unsafe_set w.c_kind i (Char.unsafe_chr (Strtab.intern w.kinds kind));
+  w32 w.c_ident (4 * i) (string_id w ident);
+  w32 w.c_type (4 * i) (string_id w ty);
+  w32 w.c_off (4 * i) w.attrs;
+  w.nodes <- i + 1;
+  w.row <- w.attrs;
+  i
+
+let close_node w i = w32 w.c_end (4 * i) w.nodes
+
+(* Append one attribute to the open row and return the offset of its
+   payload.  Callers intern the key before any string payload,
+   preserving the first-appearance table order. *)
+let push_slot w lk tag =
+  if w.attrs = Bytes.length w.c_tag then grow_attrs w;
+  let j = w.attrs in
+  Bytes.set_uint16_le w.c_key (2 * j) lk;
+  Bytes.unsafe_set w.c_tag j (Char.unsafe_chr tag);
+  w.attrs <- j + 1;
+  8 * j
+
+(* Two payload writers, so that neither an int nor float bits are boxed
+   on the way into the column. *)
+let push_int w lk tag payload =
+  let o = push_slot w lk tag in
+  w64 w.c_val o payload
+
+let push_float w lk tag f =
+  let o = push_slot w lk tag in
+  Bytes.set_int64_le w.c_val o (Int64.bits_of_float f)
+
+let push_value w key (v : value) =
+  let lk = Strtab.intern w.keys key in
+  match v with
+  | VStr s -> push_int w lk 0 (Strtab.intern w.strs s)
+  | VInt i -> push_int w lk 1 i
+  | VFloat f -> push_float w lk 2 f
+  | VBool false -> push_int w lk 3 0
+  | VBool true -> push_int w lk 4 0
+  | VUnknown -> push_int w lk 5 0
+  | VQty (q, d) -> push_float w lk (6 + dim_code d) q
+
+(* The same encoding as [push_value (value_of_attr v)], without building
+   the intermediate value. *)
+let push_attr w key (v : Model.attr_value) =
+  let lk = Strtab.intern w.keys key in
+  match v with
+  | Model.Str s | Model.Expr (_, s) -> push_int w lk 0 (Strtab.intern w.strs s)
+  | Model.Int i -> push_int w lk 1 i
+  | Model.Float f -> push_float w lk 2 f
+  | Model.Bool false -> push_int w lk 3 0
+  | Model.Bool true -> push_int w lk 4 0
+  | Model.Unknown -> push_int w lk 5 0
+  | Model.Quantity (q, _) -> push_float w lk (6 + dim_code (Units.dim q)) (Units.value q)
+
+(* Sort the open row by local key id: an insertion sort over the three
+   attribute columns in place (rows are short, and a node's keys are
+   distinct, so the order is total). *)
+let close_row w =
+  for j = w.row + 1 to w.attrs - 1 do
+    let k = Bytes.get_uint16_le w.c_key (2 * j) in
+    if k < Bytes.get_uint16_le w.c_key (2 * (j - 1)) then begin
+      let tag = Bytes.unsafe_get w.c_tag j in
+      let v = Bytes.get_int64_le w.c_val (8 * j) in
+      let p = ref j in
+      while !p > w.row && Bytes.get_uint16_le w.c_key (2 * (!p - 1)) > k do
+        let q = !p - 1 in
+        Bytes.set_uint16_le w.c_key (2 * !p) (Bytes.get_uint16_le w.c_key (2 * q));
+        Bytes.unsafe_set w.c_tag !p (Bytes.unsafe_get w.c_tag q);
+        Bytes.set_int64_le w.c_val (8 * !p) (Bytes.get_int64_le w.c_val (8 * q));
+        p := q
+      done;
+      Bytes.set_uint16_le w.c_key (2 * !p) k;
+      Bytes.unsafe_set w.c_tag !p tag;
+      Bytes.set_int64_le w.c_val (8 * !p) v
+    end
+  done
+
+(* Lay the tables and columns out behind the header and checksum the
+   payload. *)
+let finish w : string =
+  let n = w.nodes and a = w.attrs in
   if n = 0 then invalid_arg "Ir.encode: empty model";
-  let kinds = Strtab.create () and keys = Strtab.create () and strs = Strtab.create () in
-  let total_attrs = ref 0 in
-  let prep =
-    Array.map
-      (fun nd ->
-        let k = Strtab.intern kinds nd.ek in
-        let sid = function None -> -1 | Some s -> Strtab.intern strs s in
-        let id = sid nd.eid in
-        let ty = sid nd.ety in
-        let attrs =
-          Array.of_list
-            (List.map
-               (fun (name, v) ->
-                 let lk = Strtab.intern keys name in
-                 let tag, payload =
-                   match v with
-                   | VStr s -> (0, Int64.of_int (Strtab.intern strs s))
-                   | VInt i -> (1, Int64.of_int i)
-                   | VFloat f -> (2, Int64.bits_of_float f)
-                   | VBool false -> (3, 0L)
-                   | VBool true -> (4, 0L)
-                   | VUnknown -> (5, 0L)
-                   | VQty (q, d) -> (6 + dim_code d, Int64.bits_of_float q)
-                 in
-                 (lk, tag, payload))
-               nd.eattrs)
-        in
-        Array.sort (fun (x, _, _) (y, _, _) -> Int.compare x y) attrs;
-        total_attrs := !total_attrs + Array.length attrs;
-        (k, id, ty, attrs))
-      nodes
-  in
-  let a = !total_attrs in
+  let kinds = w.kinds and keys = w.keys and strs = w.strs in
   let nk = Strtab.count kinds and nkey = Strtab.count keys and nstr = Strtab.count strs in
   if nk > 255 then invalid_arg "Ir.encode: more than 255 element kinds";
   if nkey > 0xFFFF then invalid_arg "Ir.encode: more than 65535 attribute keys";
@@ -316,24 +418,15 @@ let encode (nodes : enc_node array) : string =
   Strtab.write kinds b ~offsets:o_kind_off ~blob:o_kind_blob;
   Strtab.write keys b ~offsets:o_key_off ~blob:o_key_blob;
   Strtab.write strs b ~offsets:o_str_off ~blob:o_str_blob;
-  let ai = ref 0 in
-  Array.iteri
-    (fun i (k, id, ty, attrs) ->
-      Bytes.unsafe_set b (o_kind + i) (Char.unsafe_chr k);
-      w32 b (o_end + (4 * i)) nodes.(i).eend;
-      w32 b (o_ident + (4 * i)) id;
-      w32 b (o_type + (4 * i)) ty;
-      w32 b (o_attr_off + (4 * i)) !ai;
-      Array.iter
-        (fun (lk, tag, payload) ->
-          let j = !ai in
-          Bytes.set_uint16_le b (o_attr_key + (2 * j)) lk;
-          Bytes.unsafe_set b (o_attr_tag + j) (Char.unsafe_chr tag);
-          Bytes.set_int64_le b (o_attr_val + (8 * j)) payload;
-          incr ai)
-        attrs)
-    prep;
-  w32 b (o_attr_off + (4 * n)) !ai;
+  Bytes.blit w.c_kind 0 b o_kind n;
+  Bytes.blit w.c_end 0 b o_end (4 * n);
+  Bytes.blit w.c_ident 0 b o_ident (4 * n);
+  Bytes.blit w.c_type 0 b o_type (4 * n);
+  Bytes.blit w.c_off 0 b o_attr_off (4 * n);
+  w32 b (o_attr_off + (4 * n)) a;
+  Bytes.blit w.c_key 0 b o_attr_key (2 * a);
+  Bytes.blit w.c_tag 0 b o_attr_tag a;
+  Bytes.blit w.c_val 0 b o_attr_val (8 * a);
   let sum = Xpdl_kernel.checksum_sub (Bytes.unsafe_to_string b) header_size (total - header_size) in
   Bytes.set_int64_le b checksum_off (Int64.of_int sum);
   Bytes.unsafe_to_string b
@@ -634,10 +727,6 @@ let span_end_at t i =
   check t i "Ir.span_end_at: index out of bounds";
   end_raw t i
 
-let path_at t i =
-  check t i "Ir.path_at: index out of bounds";
-  (ensure_paths t).(i)
-
 let children_ids t i =
   check t i "Ir.children_ids: index out of bounds";
   children_raw t i
@@ -769,9 +858,6 @@ let find_by_ident t ident =
   | Some (i :: _) -> Some (node t i)
   | Some [] | None -> None
 
-let all_by_ident t ident =
-  List.map (node t) (Option.value ~default:[] (Hashtbl.find_opt (ensure_by_ident t) ident))
-
 let indexes_of_tag t tag = Option.value ~default:[] (Hashtbl.find_opt (ensure_by_tag t) tag)
 let indexes_of_kind t kind = indexes_of_tag t (Schema.tag_of_kind kind)
 let all_of_kind t kind = List.map (node t) (indexes_of_kind t kind)
@@ -792,29 +878,23 @@ let fold_subtree t f acc (n : node) =
 (** {1 Building from a model} *)
 
 let of_model (root_el : Model.element) : t =
-  let count = ref 0 in
-  let items = ref [] in
-  let rec build (e : Model.element) =
-    let index = !count in
-    incr count;
-    List.iter build e.Model.children;
-    items := (index, e, !count) :: !items
+  let w = writer ~nodes:64 ~attrs:256 in
+  let rec attrs = function
+    | [] -> ()
+    | (k, v) :: rest ->
+        push_attr w k v;
+        attrs rest
   in
-  build root_el;
-  let enc = Array.make !count { ek = ""; eid = None; ety = None; eattrs = []; eend = 0 } in
-  List.iter
-    (fun (index, (e : Model.element), stop) ->
-      enc.(index) <-
-        {
-          ek = Schema.tag_of_kind e.Model.kind;
-          eid = Model.identifier e;
-          ety = e.Model.type_ref;
-          eattrs = List.map (fun (k, v) -> (k, value_of_attr v)) e.Model.attrs;
-          eend = stop;
-        })
-    !items;
+  let rec node (e : Model.element) =
+    let i = open_node w (Schema.tag_of_kind e.Model.kind) (Model.identifier e) e.Model.type_ref in
+    attrs e.Model.attrs;
+    close_row w;
+    List.iter node e.Model.children;
+    close_node w i
+  in
+  node root_el;
   (* run the encoded image through the one validated load path *)
-  of_bytes_v2 (encode enc)
+  of_bytes_v2 (finish w)
 
 (** {1 Codec entry points} *)
 
@@ -832,19 +912,20 @@ let of_bytes_result s = match of_bytes s with t -> Ok t | exception Corrupt d ->
 
 (* Re-encode only when the attribute overlay is non-empty; otherwise the
    load-time byte image is returned as-is (save/load/save is the
-   identity on bytes). *)
-let enc_of_arena t =
-  Array.init t.n (fun i ->
-      let v = node t i in
-      {
-        ek = Schema.tag_of_kind v.n_kind;
-        eid = v.n_ident;
-        ety = v.n_type;
-        eattrs = Array.to_list (Array.map (fun (k, value) -> (Keys.name k, value)) v.n_attrs);
-        eend = v.n_subtree_end;
-      })
-
-let to_bytes t = if Hashtbl.length t.patched = 0 then t.buf else encode (enc_of_arena t)
+   identity on bytes).  A patch leaves spans, kinds and identifiers
+   alone, so those are copied from the columns. *)
+let to_bytes t =
+  if Hashtbl.length t.patched = 0 then t.buf
+  else begin
+    let w = writer ~nodes:t.n ~attrs:t.a in
+    for i = 0 to t.n - 1 do
+      ignore (open_node w (Schema.tag_of_kind (kind_raw t i)) (ident_raw t i) (type_raw t i));
+      Array.iter (fun (k, v) -> push_value w (Keys.name k) v) (attrs_at t i);
+      close_row w;
+      w32 w.c_end (4 * i) (end_raw t i)
+    done;
+    finish w
+  end
 
 let verify t =
   let bytes = to_bytes t in

@@ -103,9 +103,6 @@ val type_at : t -> int -> string option
 val parent_index : t -> int -> int
 val span_end_at : t -> int -> int
 
-(** Scope path of node [i] (derives and caches all paths on first use). *)
-val path_at : t -> int -> string
-
 (** Children ids of node [i], in document order (a span walk). *)
 val children_ids : t -> int -> int list
 
@@ -147,7 +144,6 @@ val attr : node -> string -> value option
 val attr_by_key : node -> int -> value option
 
 val find_by_ident : t -> string -> node option
-val all_by_ident : t -> string -> node list
 
 (** O(1) lookup of a scope path (first node in document order). *)
 val find_by_path : t -> string -> node option

@@ -470,6 +470,16 @@ let test_validate_psm () =
   in
   Alcotest.(check bool) "unknown state flagged" true (has_error (Validate.check_power_models bad))
 
+(* Validation reads the model a fixed number of times: one power-model
+   extraction for both power checks, one set of defined names for the
+   references and hashed endpoint sets, so its allocation per element
+   does not grow with the model. *)
+let test_validate_allocation () =
+  let lookup = Xpdl_repo.Repo.lookup (Lazy.force Testlib.repo) in
+  List.iter
+    (Testlib.check_words_per_element ~bound:48. "Validate.run" (Validate.run ~lookup))
+    [ "liu_gpu_server"; "XScluster" ]
+
 (* ------------------------------------------------------------------ *)
 (* Power views *)
 
@@ -644,6 +654,7 @@ let () =
           Alcotest.test_case "required attributes" `Quick test_validate_required_attrs;
           Alcotest.test_case "identifier syntax" `Quick test_validate_bad_identifier;
           Alcotest.test_case "psm well-formedness" `Quick test_validate_psm;
+          Alcotest.test_case "run allocation per element" `Quick test_validate_allocation;
         ] );
       ( "power",
         [

@@ -443,6 +443,53 @@ let test_fleet_scale () =
         Alcotest.failf "4-domain validate-all %.3fs vs sequential %.3fs: not 1.1x faster" t_par
           t_seq)
 
+(* The bundled systems validate clean, so nothing else pins what
+   validation reports.  A seeded 300-model fleet with corrupt and
+   shadowed descriptors does: the checksum of its rendered validate-all
+   report (temp-dir paths replaced) is fixed, and the report must hold
+   validation (XPDL2xx) errors, so an empty report cannot pass. *)
+let validation_golden = "930ac95764ce4c3de4d9ba263befb114"
+
+let test_validation_golden () =
+  let module Repo = Xpdl_repo.Repo in
+  let module Gen = Xpdl_gen.Gen in
+  with_temp_dir (fun dir ->
+      let spec =
+        { Gen.default_repo_spec with rs_models = 300; rs_corrupt = 0.01; rs_shadow = 0.02 }
+      in
+      Gen.write_repo ~dir (Gen.repo_files (Gen.create ~seed:27) spec);
+      let r = Repo.create () in
+      Repo.open_root r dir;
+      let results = Repo.validate_all ~jobs:1 r in
+      let unrooted line =
+        let b = Buffer.create (String.length line) and n = String.length dir in
+        let rec go i =
+          if i < String.length line then
+            if i + n <= String.length line && String.equal (String.sub line i n) dir then begin
+              Buffer.add_string b "<dir>";
+              go (i + n)
+            end
+            else begin
+              Buffer.add_char b line.[i];
+              go (i + 1)
+            end
+        in
+        go 0;
+        Buffer.contents b
+      in
+      let report = String.concat "\n" (List.map unrooted (render_validations results)) in
+      let validation_errors =
+        List.concat_map
+          (fun v ->
+            List.filter
+              (fun (d : Xpdl_core.Diagnostic.t) -> String.starts_with ~prefix:"XPDL2" d.code)
+              v.Repo.va_errors)
+          results
+      in
+      if validation_errors = [] then Alcotest.fail "the fleet report holds no XPDL2xx error";
+      Alcotest.(check string) "report checksum" validation_golden
+        (Digest.to_hex (Digest.string report)))
+
 let case name f = Alcotest.test_case name `Quick f
 
 let () =
@@ -472,6 +519,7 @@ let () =
           case "eviction + re-materialize" test_eviction_rematerialize;
           case "validate-all parity + jobs" test_validate_all_parity;
           case "fleet-scale floors" test_fleet_scale;
+          case "validation golden" test_validation_golden;
         ] );
       ( "compose",
         [

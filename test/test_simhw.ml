@@ -262,6 +262,27 @@ let test_run_allocation_size_independent () =
         ])
     [ "liu_gpu_server"; "XScluster" ]
 
+(* One walk collects what the machine reads, and only cores get a path
+   string: the build allocates a few tens of words per element, mostly
+   the core records. *)
+(* The bootstrap reads the machine's power model instead of extracting
+   it again, but only for the model the machine was built from. *)
+let test_power_model_kept () =
+  let m = model "liu_gpu_server" in
+  let machine = Machine.create m in
+  Alcotest.(check bool) "same model: the machine's own" true
+    (Machine.power_model machine m == machine.Machine.power);
+  let other = Xpdl_core.Model.set_attr m "static_power" (Xpdl_core.Model.Int 1) in
+  let pm = Machine.power_model machine other in
+  Alcotest.(check bool) "other model: extracted afresh" true (pm != machine.Machine.power);
+  Alcotest.(check int) "same ISAs" (List.length machine.Machine.power.Xpdl_core.Power.pm_isas)
+    (List.length pm.Xpdl_core.Power.pm_isas)
+
+let test_create_allocation () =
+  List.iter
+    (Testlib.check_words_per_element ~bound:32. "Machine.create" (fun m -> Machine.create m))
+    [ "liu_gpu_server"; "XScluster" ]
+
 (* ------------------------------------------------------------------ *)
 (* Kernels *)
 
@@ -341,6 +362,8 @@ let () =
           case "deterministic transfers" test_transfer_deterministic;
           case "declared latency rule" test_declared_latency_rule;
           case "run allocation size-independent" test_run_allocation_size_independent;
+          case "create allocation per element" test_create_allocation;
+          case "power model kept" test_power_model_kept;
         ] );
       ( "kernels",
         [

@@ -591,6 +591,15 @@ let test_cpp_header () =
   Alcotest.(check bool) "analysis fns" true (contains "count_cores");
   Alcotest.(check bool) "hundreds of getters" true (Cpp_codegen.getter_count () > 150)
 
+(* The encoder streams the model into the v2 columns: no per-node
+   record, attribute list or boxed payload, so its minor allocation is
+   a small constant per element (the growable columns and the final
+   image are major-heap blocks). *)
+let test_of_model_allocation () =
+  List.iter
+    (Testlib.check_words_per_element ~bound:16. "Ir.of_model" Ir.of_model)
+    [ "liu_gpu_server"; "XScluster" ]
+
 let case name f = Alcotest.test_case name `Quick f
 
 let () =
@@ -609,6 +618,7 @@ let () =
           case "checksum verify" test_verify_clean;
           case "double-save byte identity" test_double_save_identity;
           case "freeze isolation" test_freeze_isolation;
+          case "of_model allocation per element" test_of_model_allocation;
           QCheck_alcotest.to_alcotest prop_codec_roundtrip;
         ] );
       ( "spans",
