@@ -36,9 +36,9 @@ let () =
   let machine = Xpdl_simhw.Machine.create ~seed:7 model in
   let opts =
     {
-      Xpdl_microbench.Bootstrap.repetitions = 15;
+      Xpdl_microbench.Bootstrap.default_options with
+      repetitions = 15;
       frequencies = [ 1.2e9; 1.6e9; 2.0e9 ];
-      force = false;
     }
   in
   let bootstrapped, results = Xpdl_microbench.Bootstrap.run ~opts ~machine model in

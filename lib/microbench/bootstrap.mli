@@ -3,18 +3,16 @@
     platform, reduce repeated meter readings with {!Stats}, and write the
     derived values back into the model (optionally as per-frequency
     [<data>] tables like Listing 14's [divsd]).  Channel offsets declared
-    ["?"] (Listing 3) are calibrated with 1-byte transfers. *)
+    ["?"] (Listing 3) are calibrated with 1-byte transfers.
+
+    This is the paper's entry point; the measuring, the write-back and
+    the [quality] labels are {!Resilient}'s, run with no fault plan. *)
 
 open Xpdl_core
 
-type options = {
-  repetitions : int;  (** meter readings per benchmark *)
-  frequencies : float list;  (** Hz sweep; [] = current frequency only *)
-  force : bool;  (** re-measure even specified energies ("on request") *)
-}
-
-(** 9 repetitions, no sweep, no force. *)
-val default_options : options
+(** {!Resilient.default_policy} with 9 repetitions per benchmark: no
+    sweep, no force. *)
+val default_options : Resilient.policy
 
 (** One derived energy entry. *)
 type result = {
@@ -22,12 +20,7 @@ type result = {
   benchmark : string;  (** microbenchmark id used *)
   energy : Stats.summary;  (** J per instruction at the current frequency *)
   per_frequency : (float * float) list;  (** (Hz, J) when a sweep ran *)
-  runs : int;
 }
-
-(** Measure J/instruction on the machine at its current clocks. *)
-val measure :
-  Xpdl_simhw.Machine.t -> opts:options -> name:string -> iterations:int -> Stats.summary
 
 (** Adaptive measurement: sample until the 95% CI half-width is within
     [target_rci] of the mean (default 1%) or [max_samples] meter reads
@@ -43,18 +36,15 @@ val measure_adaptive :
   iterations:int ->
   Stats.summary
 
-(** The microbenchmark id measuring an instruction: its own [mb]
-    reference, else a suite benchmark matching the instruction, else a
-    synthesized [auto_] id. *)
-val benchmark_for : Power.suite list -> Power.instruction -> string
-
-(** Declared iteration count of a microbenchmark (default 100_000). *)
-val iterations_for : Power.suite list -> string -> int
+(** One result per instruction benchmark the engine measured at the
+    current clocks, in document order; quarantined benchmarks have none. *)
+val results_of_health : Resilient.health -> result list
 
 (** Full bootstrap of a composed model: instruction energies and link
-    offsets.  [machine] defaults to a machine built from the model. *)
+    offsets, through {!Resilient.run}.  [machine] defaults to a machine
+    built from the model. *)
 val run :
-  ?opts:options ->
+  ?opts:Resilient.policy ->
   ?machine:Xpdl_simhw.Machine.t ->
   Model.element ->
   Model.element * result list

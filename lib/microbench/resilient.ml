@@ -24,6 +24,7 @@ type policy = {
   backoff_seed : int;
   repetitions : int;
   frequencies : float list;
+  force : bool;
   fail_fast : bool;
 }
 
@@ -39,6 +40,7 @@ let default_policy =
     backoff_seed = 42;
     repetitions = 7;
     frequencies = [];
+    force = false;
     fail_fast = false;
   }
 
@@ -271,6 +273,33 @@ let data_row (hz, j) =
 (* ------------------------------------------------------------------ *)
 (* The suite *)
 
+(* Which microbenchmark measures [i]?  Its own [mb], else one in the suite
+   whose [type] matches, else a synthesized id. *)
+let benchmark_for (suites : Power.suite list) (i : Power.instruction) =
+  match i.Power.in_mb with
+  | Some mb -> mb
+  | None -> (
+      let by_type =
+        List.find_map
+          (fun s ->
+            List.find_map
+              (fun (b : Power.microbenchmark) ->
+                if String.equal b.mb_instruction i.Power.in_name then Some b.mb_id else None)
+              s.Power.su_benches)
+          suites
+      in
+      match by_type with Some mb -> mb | None -> "auto_" ^ i.Power.in_name)
+
+let iterations_for (suites : Power.suite list) mb_id =
+  List.find_map
+    (fun s ->
+      List.find_map
+        (fun (b : Power.microbenchmark) ->
+          if String.equal b.mb_id mb_id then Some b.mb_iterations else None)
+        s.Power.su_benches)
+    suites
+  |> Option.value ~default:100_000
+
 let current_hz machine =
   if Array.length machine.Machine.cores = 0 then 1.0e9 else machine.Machine.cores.(0).Machine.hz
 
@@ -363,11 +392,27 @@ let run_store ?(policy = default_policy) ?machine (store : Store.t) : health =
              "placeholder %s unresolved after the degradation ladder" b.b_instruction)
   in
 
-  (* --- instruction benchmarks, in document order ------------------- *)
-  let instr_paths =
+  (* --- targets: one walk finds both kinds, in document order.  The
+     instruction write-backs below touch only instruction subtrees, so
+     the link paths stay valid. -------------------------------------- *)
+  let is_instruction e = Schema.equal_kind e.Model.kind Schema.Instruction in
+  let instr_paths, link_paths =
     Store.find_paths store (fun e ->
-        Schema.equal_kind e.Model.kind Schema.Instruction && Model.attr_is_unknown e "energy")
+        if is_instruction e then policy.force || Model.attr_is_unknown e "energy"
+        else
+          Schema.equal_kind e.Model.kind Schema.Interconnect
+          && (match Model.identifier e with
+             | Some link -> Machine.find_link machine link <> None
+             | None -> false)
+          && List.exists
+               (fun (ch : Model.element) ->
+                 Model.attr_is_unknown ch "time_offset_per_message"
+                 || Model.attr_is_unknown ch "energy_offset_per_message")
+               (Model.children_of_kind e Schema.Channel))
+    |> List.partition (fun path -> is_instruction (Option.get (Store.element_at store path)))
   in
+
+  (* --- instruction benchmarks ------------------------------------- *)
   let benches =
     List.map
       (fun path ->
@@ -376,10 +421,10 @@ let run_store ?(policy = default_policy) ?machine (store : Store.t) : health =
         let instr = instr_info name in
         let mb =
           match instr with
-          | Some i -> Bootstrap.benchmark_for pm.Power.pm_suites i
+          | Some i -> benchmark_for pm.Power.pm_suites i
           | None -> "auto_" ^ name
         in
-        let iterations = Bootstrap.iterations_for pm.Power.pm_suites mb in
+        let iterations = iterations_for pm.Power.pm_suites mb in
         let read () =
           let w = Xpdl_simhw.Kernels.single_instruction ~name ~iterations in
           let m = Machine.run machine w in
@@ -478,18 +523,6 @@ let run_store ?(policy = default_policy) ?machine (store : Store.t) : health =
   in
 
   (* --- link-offset calibration ------------------------------------ *)
-  let link_paths =
-    Store.find_paths store (fun e ->
-        Schema.equal_kind e.Model.kind Schema.Interconnect
-        && (match Model.identifier e with
-           | Some link -> Machine.find_link machine link <> None
-           | None -> false)
-        && List.exists
-             (fun (ch : Model.element) ->
-               Model.attr_is_unknown ch "time_offset_per_message"
-               || Model.attr_is_unknown ch "energy_offset_per_message")
-             (Model.children_of_kind e Schema.Channel))
-  in
   let links =
     List.map
       (fun path ->

@@ -1,8 +1,8 @@
-(** Fault-tolerant deployment bootstrap.
+(** The deployment bootstrap engine (Sec. III-C, IV).
 
-    The plain {!Bootstrap} assumes every meter read succeeds; one hung or
-    garbage measurement aborts the whole composition.  This harness wraps
-    the same measurements in a retry/timeout/quarantine discipline and a
+    This is the one implementation of the bootstrap: {!Bootstrap.run}
+    (and so [Pipeline.run]) calls it with no fault plan.  It wraps every
+    measurement in a retry/timeout/quarantine discipline and a
     graceful-degradation ladder, so a machine with an attached
     {!Xpdl_simhw.Faults} plan (or a genuinely misbehaving meter) still
     yields a complete, well-labeled model:
@@ -36,7 +36,14 @@ type policy = {
   backoff_jitter : float;  (** relative jitter amplitude, deterministic *)
   backoff_seed : int;  (** seeds the jitter stream *)
   repetitions : int;  (** finite samples wanted per attempt *)
-  frequencies : float list;  (** Hz sweep for interpolation fallback *)
+  frequencies : float list;
+      (** Hz sweep, written back as [<data>] rows; also feeds the
+          interpolation fallback *)
+  force : bool;
+      (** also re-measure instructions whose energy is specified ("on
+          request, microbenchmarking can also be applied to instructions
+          with given energy cost and will then override the specified
+          values") *)
   fail_fast : bool;  (** stop the suite at the first quarantine *)
 }
 
@@ -97,7 +104,8 @@ type health = {
 }
 
 (** Resilient bootstrap through a store: measure every instruction whose
-    [energy] is ["?"] (and every ["?"] link offset), writing results,
+    [energy] is ["?"] (every instruction under [force]) and every ["?"]
+    link offset, writing results,
     [<data>] sweep rows and [quality] provenance through the store's
     edit API.  Always terminates within the policy budget (plus at most
     one benchmark deadline) and never raises on meter faults. *)

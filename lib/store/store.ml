@@ -73,11 +73,17 @@ let element_at_exn t path =
       err "XPDL401" "index path [%s] does not address a model element"
         (String.concat " " (List.map string_of_int path))
 
+(* The walk carries each node's index path reversed and reverses it only
+   on a match, so a node that is not returned costs one cons cell. *)
 let find_paths t p =
-  List.rev
-    (Model.fold_index_paths
-       (fun acc path e -> if p e then path :: acc else acc)
-       [] t.root)
+  let rec node acc rev_path (e : Model.element) =
+    let acc = if p e then List.rev rev_path :: acc else acc in
+    children acc rev_path 0 e.Model.children
+  and children acc rev_path i = function
+    | [] -> acc
+    | c :: cs -> children (node acc (i :: rev_path) c) rev_path (i + 1) cs
+  in
+  List.rev (node [] [] t.root)
 
 (** {1 Edits} *)
 

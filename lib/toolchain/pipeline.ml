@@ -17,7 +17,7 @@ type config = {
   search_path : string list;  (** repository roots *)
   parameter_config : Instantiate.env;  (** deployment-time param choices *)
   run_bootstrap : bool;  (** microbenchmark the ["?"] entries *)
-  bootstrap_opts : Xpdl_microbench.Bootstrap.options;
+  bootstrap_opts : Xpdl_microbench.Resilient.policy;
   filter_drop : string list;  (** attributes filtered from the runtime model *)
   emit_drivers_to : string option;  (** directory for generated driver code *)
   machine_seed : int;
@@ -89,28 +89,21 @@ let run ?(config = default_config) ?repo ~system () : (report, string) result =
               List.iter
                 (fun suite -> ignore (Xpdl_microbench.Driver.emit_suite ~dir suite))
                 pm.Power.pm_suites));
-      (* deployment-time bootstrap of unspecified energy entries, guarded
-         so a broken machine degrades the model instead of killing the
-         pipeline *)
+      (* deployment-time bootstrap of unspecified energy entries.  The
+         engine does not raise on a hung meter or a dead core: it
+         degrades the affected entries, labels them, and accounts for
+         each fallback with an XPDL5xx diagnostic; XPDL310 below flags
+         what stays unresolved *)
       let model, bootstrap_results =
         if not config.run_bootstrap then (model, [])
         else
           timed timings "bootstrap" (fun () ->
               let machine = Xpdl_simhw.Machine.create ~seed:config.machine_seed model in
-              try Xpdl_microbench.Bootstrap.run ~opts:config.bootstrap_opts ~machine model
-              with e ->
-                (* a hung meter or a dead core must not abort the
-                   composition: keep the un-bootstrapped model, account
-                   for the failure, and let XPDL310 flag the leftovers *)
-                diags :=
-                  !diags
-                  @ [
-                      Diagnostic.error ~code:"XPDL500"
-                        "microbenchmark bootstrap failed (%s); continuing with unresolved \
-                         entries"
-                        (Printexc.to_string e);
-                    ];
-                (model, []))
+              let model, health =
+                Xpdl_microbench.Resilient.run ~policy:config.bootstrap_opts ~machine model
+              in
+              diags := !diags @ health.Xpdl_microbench.Resilient.h_diags;
+              (model, Xpdl_microbench.Bootstrap.results_of_health health))
       in
       (match Xpdl_microbench.Bootstrap.remaining_placeholders model with
       | [] -> ()

@@ -9,7 +9,9 @@ type config = {
   search_path : string list;  (** repository roots *)
   parameter_config : Instantiate.env;  (** deployment-time param choices *)
   run_bootstrap : bool;
-  bootstrap_opts : Xpdl_microbench.Bootstrap.options;
+  bootstrap_opts : Xpdl_microbench.Resilient.policy;
+      (** the bootstrap engine's policy; default
+          {!Xpdl_microbench.Bootstrap.default_options} *)
   filter_drop : string list;
   emit_drivers_to : string option;  (** directory for generated driver code *)
   machine_seed : int;

@@ -88,6 +88,27 @@ let test_store_addressing () =
   let cores = Store.find_paths store (fun e -> Schema.equal_kind e.Model.kind Schema.Core) in
   Alcotest.(check bool) "many cores found" true (List.length cores > 4)
 
+(* [find_paths] returns what a filtered [fold_index_paths] returns, and
+   builds only those paths: a node that does not match costs one cons
+   cell (about 3 words; a walk that builds every node's path costs 31
+   on liu_gpu_server and 40 on XScluster). *)
+let test_find_paths_allocation () =
+  let instruction_placeholder e =
+    Schema.equal_kind e.Model.kind Schema.Instruction && Model.attr_is_unknown e "energy"
+  in
+  let m = model "liu_gpu_server" in
+  Alcotest.(check (list (list int)))
+    "same paths as the fold"
+    (List.rev
+       (Model.fold_index_paths
+          (fun acc p e -> if instruction_placeholder e then p :: acc else acc)
+          [] m))
+    (Store.find_paths (Store.of_model m) instruction_placeholder);
+  List.iter
+    (Testlib.check_words_per_element ~bound:8. "Store.find_paths" (fun m ->
+         Store.find_paths (Store.of_model m) instruction_placeholder))
+    [ "liu_gpu_server"; "XScluster" ]
+
 let test_store_errors () =
   let store = Store.of_model (small_tree ()) in
   let code_of f =
@@ -226,6 +247,7 @@ let () =
           case "edit" test_store_edit;
           case "structural edits" test_store_structural_edits;
           case "addressing" test_store_addressing;
+          case "find_paths allocation" test_find_paths_allocation;
           case "coded errors" test_store_errors;
           case "raw edits elaborate" test_store_raw_edit;
           case "journal + compaction" test_store_journal;

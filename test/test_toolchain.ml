@@ -549,12 +549,12 @@ let test_pipeline_survives_failed_bootstrap () =
    keep every value. *)
 let golden_fingerprints =
   [
-    ("liu_gpu_server", 3544461698540577417, 858798540887829610);
-    ("myriad_server", 4575958477153861636, 3594253581888786495);
-    ("odroid_xu3", 2860004422263850381, 2926441340443566478);
-    ("phi_server", 1349096894039204987, 1262097015977766282);
-    ("XScluster", 1967685124131738419, 1309637795627497388);
-    ("excess_cluster", 1825151340060227625, 3160541776413127105);
+    ("liu_gpu_server", 1613307830174630550, 858798540887829610);
+    ("myriad_server", 1770767826458448001, 3594253581888786495);
+    ("odroid_xu3", 740336439413155120, 2926441340443566478);
+    ("phi_server", 1419395743322749837, 1262097015977766282);
+    ("XScluster", 2998980733750165885, 1309637795627497388);
+    ("excess_cluster", 2156188491909656221, 3160541776413127105);
   ]
 
 let test_pipeline_golden_fingerprints () =
@@ -571,6 +571,54 @@ let test_pipeline_golden_fingerprints () =
       Alcotest.(check int) (system ^ " without bootstrap") plain
         (fingerprint ~run_bootstrap:false system))
     golden_fingerprints
+
+(* The pipeline's bootstrap is the resilient engine with no fault plan:
+   on every bundled system its model equals [Resilient.run] on the
+   machine the pipeline builds, and every ["?"] instruction is labeled
+   measured.  Each ISA copy of an instruction is measured on its own, so
+   the five [nop] copies of excess_cluster carry five energies. *)
+let test_pipeline_one_bootstrap () =
+  let module Model = Xpdl_core.Model in
+  let module Schema = Xpdl_core.Schema in
+  let cfg = Pipeline.default_config in
+  let is_instruction (e : Model.element) = Schema.equal_kind e.kind Schema.Instruction in
+  let bootstrapped system =
+    match Pipeline.run ~repo:(Lazy.force repo) ~system () with
+    | Error msg -> Alcotest.failf "%s: %s" system msg
+    | Ok report ->
+        let analysed, _ = Analysis.effective_bandwidths (model system) in
+        let machine = Xpdl_simhw.Machine.create ~seed:cfg.Pipeline.machine_seed analysed in
+        let engine, _ =
+          Xpdl_microbench.Resilient.run ~policy:cfg.Pipeline.bootstrap_opts ~machine analysed
+        in
+        Alcotest.(check bool) (system ^ ": pipeline model = engine model") true
+          (report.Pipeline.model = engine);
+        Model.fold_index_paths
+          (fun () path e ->
+            if is_instruction e && Model.attr_is_unknown e "energy" then
+              Alcotest.(check (option string))
+                (Fmt.str "%s: %s labeled" system (Option.value ~default:"?" (Model.identifier e)))
+                (Some "measured")
+                (Option.bind (Model.at_index_path engine path) (fun e' ->
+                     Model.attr_string e' "quality")))
+          () analysed;
+        engine
+  in
+  List.iter
+    (fun system -> ignore (bootstrapped system))
+    [ "liu_gpu_server"; "myriad_server"; "odroid_xu3"; "phi_server"; "XScluster" ];
+  let nops =
+    Model.fold
+      (fun acc (e : Model.element) ->
+        match Model.attr_quantity e "energy" with
+        | Some q when is_instruction e && Model.identifier e = Some "nop" ->
+            Xpdl_units.Units.value q :: acc
+        | _ -> acc)
+      [] (bootstrapped "excess_cluster")
+  in
+  Alcotest.(check int) "excess_cluster: five nop copies" 5 (List.length nops);
+  Alcotest.(check int) "excess_cluster: each nop copy measured on its own" 5
+    (List.length (List.sort_uniq Float.compare nops))
 
 (* ------------------------------------------------------------------ *)
 (* C++ codegen *)
@@ -648,6 +696,7 @@ let () =
           case "file output + reload" test_pipeline_to_file_and_query;
           case "golden fingerprints" test_pipeline_golden_fingerprints;
           case "survives a failed bootstrap" test_pipeline_survives_failed_bootstrap;
+          case "one bootstrap mechanism" test_pipeline_one_bootstrap;
         ] );
       ("cpp", [ case "generated header" test_cpp_header ]);
     ]
