@@ -572,6 +572,91 @@ let test_pipeline_golden_fingerprints () =
         (fingerprint ~run_bootstrap:false system))
     golden_fingerprints
 
+(* One fingerprint per repository descriptor: [Xpdl_kernel.checksum] of
+   its composed model's [.xrt] image followed by its composition
+   diagnostics (code, severity, file basename, line, column, message).
+   They pin inheritance, instantiation — nested groups (nvidia_kepler,
+   xscluster, excess_cluster, intel_xeon_e5_2630l) and no-prefix named
+   groups (myriad1_power_domains, power_model_e5_2630l) — validation and
+   the codec: a change that should be output-neutral keeps every value. *)
+let golden_composed =
+  [
+    ("ARM_Cortex_A15", 3325952193639746390);
+    ("ARM_Cortex_A7", 3919416134405311869);
+    ("CUBLAS_6.0", 472644498595822318);
+    ("CUDA_6.0", 3537755356951506068);
+    ("CUSPARSE_6.0", 3042733886420901775);
+    ("DDR3_16G", 1956966336205777464);
+    ("DDR3_4G", 3451821860116260242);
+    ("Exynos_5422", 1263610973917252656);
+    ("GCC_4.8", 3080834611826541252);
+    ("Intel_Xeon_E5_2630L", 39694620193302814);
+    ("Intel_Xeon_E5_2650", 3914869795786712029);
+    ("JTAG", 4357600017978327700);
+    ("Kepler_SP_core", 4580445697812838353);
+    ("LPDDR3_2G", 1405910506634069144);
+    ("Linux_3.13", 4542184361788828716);
+    ("MDK_1.53", 4191493185376630232);
+    ("MKL_11.0", 146292720223359147);
+    ("Movidius_MV153", 1425007172929536180);
+    ("Movidius_Myriad1", 2098226054014574646);
+    ("Myriad1_Shave", 1986931874745134644);
+    ("Myriad1_power_domains", 4062452234037666671);
+    ("Nvidia_GPU", 2102109038793372133);
+    ("Nvidia_K20c", 2871338429686887581);
+    ("Nvidia_K40c", 2377188987309889302);
+    ("Nvidia_Kepler", 696921554820992308);
+    ("OpenCL_1.2", 3597948985076229147);
+    ("SPI", 2471018694834967661);
+    ("ShaveL2", 1121972855953996472);
+    ("Sparc_V8", 486796734509715936);
+    ("StarPU_1.0", 946410059880708953);
+    ("XScluster", 1346147524797303566);
+    ("Xeon1", 2680940964939025526);
+    ("Xeon_Phi_5110P", 2535413948492408200);
+    ("excess_cluster", 4524745426608644314);
+    ("hdmi", 3913357437411246945);
+    ("infiniband1", 422155774730179163);
+    ("liu_gpu_server", 3373993991492562758);
+    ("mb_armv7_1", 2820639785050964172);
+    ("mb_ptx_1", 1018220807700242562);
+    ("mb_shave_1", 160994137991397206);
+    ("mb_x86_base_1", 2210098202970027269);
+    ("myriad_server", 3064945358150193822);
+    ("odroid_xu3", 2090428122675832873);
+    ("pcie3", 440565395153159287);
+    ("phi_server", 692730637067135658);
+    ("power_model_E5_2630L", 2640161703809397568);
+    ("power_model_Exynos_5422", 2955655393498030673);
+    ("power_model_Kepler", 1439001410090469949);
+    ("power_model_Myriad1", 3756724471807632748);
+    ("power_state_machine1", 1354500735330471852);
+    ("qpi", 695367066531115282);
+    ("usb_2.0", 4055659622344677961);
+    ("x86_base_isa", 691696597813791193);
+  ]
+
+let composed_fingerprint ident =
+  match Xpdl_repo.Repo.compose_by_name (Lazy.force repo) ident with
+  | Error msg -> Alcotest.failf "compose %s: %s" ident msg
+  | Ok c ->
+      let diag (d : Xpdl_core.Diagnostic.t) =
+        Fmt.str "%s %s %s:%d:%d %s" d.code
+          (Xpdl_core.Diagnostic.severity_name d.severity)
+          (Filename.basename d.pos.Xpdl_xml.Dom.file)
+          d.pos.Xpdl_xml.Dom.line d.pos.Xpdl_xml.Dom.column d.message
+      in
+      Xpdl_kernel.checksum
+        (String.concat "\n"
+           (Ir.to_bytes (Ir.of_model c.Xpdl_repo.Repo.model) :: List.map diag c.comp_diags))
+
+let test_composed_golden () =
+  let idents = Xpdl_repo.Repo.identifiers (Lazy.force repo) in
+  Alcotest.(check (list string)) "every descriptor pinned" (List.map fst golden_composed) idents;
+  List.iter
+    (fun (ident, golden) -> Alcotest.(check int) ident golden (composed_fingerprint ident))
+    golden_composed
+
 (* The pipeline's bootstrap is the resilient engine with no fault plan:
    on every bundled system its model equals [Resilient.run] on the
    machine the pipeline builds, and every ["?"] instruction is labeled
@@ -695,6 +780,7 @@ let () =
           case "driver emission" test_pipeline_emits_drivers;
           case "file output + reload" test_pipeline_to_file_and_query;
           case "golden fingerprints" test_pipeline_golden_fingerprints;
+          case "golden composed descriptors" test_composed_golden;
           case "survives a failed bootstrap" test_pipeline_survives_failed_bootstrap;
           case "one bootstrap mechanism" test_pipeline_one_bootstrap;
         ] );
