@@ -30,19 +30,18 @@ let spmv_of_ctx ctx =
     ~cols:(int_of_float (Option.value ~default:(problem_param_exn ctx "rows") (problem_param ctx "cols")))
     ~density:(problem_param_exn ctx "density") ()
 
-(* Host CPU facts from the runtime model: core count and min frequency of
-   cores outside any device. *)
+(* Host CPU facts from the runtime model: core count and max frequency of
+   cores outside any device.  A core is inside a device when its
+   preorder index falls in the device's subtree span. *)
 let host_facts ctx =
   let q = ctx.query in
-  let root = Xpdl_query.Query.root q in
-  let device_paths =
-    List.map (fun d -> Xpdl_query.Query.path d) (Xpdl_query.Query.devices q)
-  in
-  let in_device (e : Xpdl_query.Query.element) =
-    let p = Xpdl_query.Query.path e in
+  let devices = Xpdl_query.Query.devices q in
+  let in_device (c : Xpdl_query.Query.element) =
     List.exists
-      (fun dp -> String.length p >= String.length dp && String.sub p 0 (String.length dp) = dp)
-      device_paths
+      (fun (d : Xpdl_query.Query.element) ->
+        d.Xpdl_toolchain.Ir.n_index <= c.Xpdl_toolchain.Ir.n_index
+        && c.Xpdl_toolchain.Ir.n_index < d.Xpdl_toolchain.Ir.n_subtree_end)
+      devices
   in
   let host_cores =
     List.filter
@@ -57,7 +56,6 @@ let host_facts ctx =
         | _ -> acc)
       0. host_cores
   in
-  ignore root;
   (List.length host_cores, if freq > 0. then freq else 2e9)
 
 let gpu_facts ctx =

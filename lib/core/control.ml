@@ -90,9 +90,9 @@ let derive (root : Model.element) : tree =
             { cu_ident = ident; cu_role = r; cu_element = e; cu_explicit = false })
       pus
   in
-  let masters = List.filter (fun p -> p.cu_role = Master) classified in
+  let masters, others = List.partition (fun p -> p.cu_role = Master) classified in
   match masters with
-  | [ m ] -> { ct_root = m; ct_children = List.filter (fun p -> p != m) classified }
+  | [ m ] -> { ct_root = m; ct_children = others }
   | [] -> (
       (* no explicit master: promote a lone control-capable CPU, else keep
          everyone hybrid under a synthetic root (the dual-CPU case) *)

@@ -25,6 +25,12 @@ open Xpdl_units
 
 type env = (string * Xpdl_expr.Expr.value) list
 
+(* The bindings in force in one scope: the association list that inner
+   scopes extend, and the expression environment built from it once. *)
+type scope = { bindings : env; xenv : Xpdl_expr.Expr.env }
+
+let scope_of bindings = { bindings; xenv = Xpdl_expr.Expr.env_of_list bindings }
+
 let quantity_value (q : Units.t) = Xpdl_expr.Expr.Num (Units.value q)
 
 (* The value a <param>/<const> contributes to the environment: its [value]
@@ -49,8 +55,8 @@ let binding_value env (e : Model.element) : Xpdl_expr.Expr.value option =
 
 (* Check a param's bound value against its declared range (a
    comma-separated list interpreted in the param's [unit]). *)
-let check_range diags env (p : Model.element) =
-  match (Model.attr_string p "range", List.assoc_opt (Option.value ~default:"" p.name) env) with
+let check_range diags scope (p : Model.element) =
+  match (Model.attr_string p "range", List.assoc_opt (Option.value ~default:"" p.name) scope.bindings) with
   | Some range_s, Some (Xpdl_expr.Expr.Num v) -> (
       (* the unit spelling: an explicit [unit] attribute, or the spelling
          the param's metric value was written in (elaboration consumes the
@@ -97,21 +103,22 @@ let canonical_unit = function
   | Units.Temperature -> "K"
   | Units.Scalar -> ""
 
-(* Substitute expression-valued attributes using [env]; the schema's
-   declared dimension rewraps plain numbers into quantities. *)
-let substitute_attrs diags env (e : Model.element) : Model.element =
-  let subst (key, v) =
+(* Substitute expression-valued attributes using the scope's bindings;
+   the schema's declared dimension rewraps plain numbers into quantities.
+   An element with no expression attribute is returned itself. *)
+let substitute_attrs diags scope (e : Model.element) : Model.element =
+  let subst ((key, v) as attr) =
     match v with
     (* a <constraint expr="..."> is a predicate, owned (and diagnosed)
        by check_constraints — substituting it here would double-report
        every failing evaluation *)
-    | Model.Expr _ when e.Model.kind = Schema.Constraint && String.equal key "expr" -> (key, v)
+    | Model.Expr _ when e.Model.kind = Schema.Constraint && String.equal key "expr" -> attr
     | Model.Expr (ex, src) -> (
         let ids = Xpdl_expr.Expr.free_idents ex in
-        let all_bound = List.for_all (fun i -> List.mem_assoc i env) ids in
-        if not all_bound then (key, v)
+        let all_bound = List.for_all (fun i -> List.mem_assoc i scope.bindings) ids in
+        if not all_bound then attr
         else
-          match Xpdl_expr.Expr.eval (Xpdl_expr.Expr.env_of_list env) ex with
+          match Xpdl_expr.Expr.eval scope.xenv ex with
           | Xpdl_expr.Expr.Num f -> (
               match Schema.attr_spec e.kind key with
               | Some { a_type = Schema.A_quantity dim; _ } ->
@@ -120,7 +127,7 @@ let substitute_attrs diags env (e : Model.element) : Model.element =
               | Some { a_type = Schema.A_int; _ } -> (key, Model.Int (int_of_float f))
               | _ ->
                   if Float.is_integer f && List.length ids > 0 then (key, Model.Float f)
-                  else if ids = [] then (key, Model.Expr (ex, src)) (* pure literal: keep *)
+                  else if ids = [] then attr (* pure literal: keep *)
                   else (key, Model.Float f))
           | Xpdl_expr.Expr.Bool b -> (key, Model.Bool b)
           | Xpdl_expr.Expr.Str s -> (key, Model.Str s)
@@ -128,18 +135,20 @@ let substitute_attrs diags env (e : Model.element) : Model.element =
               diags :=
                 Diagnostic.error ~code:"XPDL211" ~pos:e.pos "attribute %s: cannot evaluate %S: %s" key src msg
                 :: !diags;
-              (key, v))
-    | _ -> (key, v)
+              attr)
+    | _ -> attr
   in
-  { e with attrs = List.map subst e.attrs }
+  if List.exists (fun (_, v) -> match v with Model.Expr _ -> true | _ -> false) e.attrs then
+    { e with attrs = List.map subst e.attrs }
+  else e
 
-let eval_quantity diags env (g : Model.element) : int option =
+let eval_quantity diags scope (g : Model.element) : int option =
   match Model.attr g "quantity" with
   | None -> None
   | Some (Model.Int i) -> Some i
   | Some (Model.Float f) -> Some (int_of_float f)
   | Some (Model.Expr (ex, src)) -> (
-      match Xpdl_expr.Expr.eval_num (Xpdl_expr.Expr.env_of_list env) ex with
+      match Xpdl_expr.Expr.eval_num scope.xenv ex with
       | f ->
           if f < 0. then begin
             diags :=
@@ -160,15 +169,14 @@ let eval_quantity diags env (g : Model.element) : int option =
         :: !diags;
       None
 
-(* Does this subtree still contain an unexpanded quantity group? *)
-let check_constraints diags env (e : Model.element) =
+let check_constraints diags scope (e : Model.element) =
   List.iter
     (fun (cs : Model.element) ->
       List.iter
         (fun (c : Model.element) ->
           match Model.attr c "expr" with
           | Some (Model.Expr (ex, src)) -> (
-              match Xpdl_expr.Expr.eval (Xpdl_expr.Expr.env_of_list env) ex with
+              match Xpdl_expr.Expr.eval scope.xenv ex with
               | Xpdl_expr.Expr.Num f when not (Float.is_finite f) ->
                   (* a NaN/inf "result" would compare arbitrarily; that is
                      a model bug, not an unsatisfied constraint *)
@@ -206,113 +214,150 @@ let check_constraints diags env (e : Model.element) =
         (Model.children_of_kind cs Schema.Constraint))
     (Model.children_of_kind e Schema.Constraints)
 
+(* How one child of a scope expanded: [Self] is the walk of the child
+   itself, which keeps the child's id; [Copies] are the scopes that a
+   replicated group became. *)
+type expansion = Self of Model.element | Copies of Model.element list
+
+(* The children that [expansions] (one per child, in order) stand for;
+   [children] itself when every child came back unchanged.  The
+   [principal] child, if given, takes the identifier [ident]. *)
+let assemble ?principal (children : Model.element list) expansions =
+  let rec go i children expansions =
+    match (children, expansions) with
+    | c :: rest, x :: xs -> (
+        let rest' = go (i + 1) rest xs in
+        match x with
+        | Self c' -> (
+            match principal with
+            | Some (j, ident) when i = j -> { c' with id = ident } :: rest'
+            | _ -> if c' == c && rest' == rest then children else c' :: rest')
+        | Copies cs -> cs @ rest')
+    | _ -> []
+  in
+  go 0 children expansions
+
 (** [run ?env root] instantiates [root]: binds consts/params scope-wise,
     substitutes expressions, checks ranges and constraints, and expands
     groups.  [env] provides external configuration overrides (name →
     value, SI-normalized), e.g. choosing [L1size] at deployment time.
     Returns the expanded tree and diagnostics; the tree is usable even
-    with diagnostics present (erroneous parts are left unexpanded). *)
+    with diagnostics present (erroneous parts are left unexpanded).
+    A subtree that instantiation does not change is returned itself, and
+    the copies of a replicated group share every subtree but the ones
+    their identifiers differ in. *)
 let run ?(env : env = []) (root : Model.element) : Model.element * Diagnostic.t list =
   let diags = ref [] in
   (* names fixed by external deployment configuration: these override any
      declaration in the tree; everything else follows lexical scoping
      (an inner <param> shadows an enclosing scope's) *)
   let external_names = List.map fst env in
-  let rec walk env (e : Model.element) : Model.element =
+  let bind env (c : Model.element) =
+    match c.kind with
+    | Schema.Const | Schema.Param -> (
+        match c.name with
+        | Some n -> (
+            if List.mem n external_names && c.kind = Schema.Param then env
+            else
+              match binding_value env c with
+              | Some v -> (n, v) :: env
+              | None -> env)
+        | None ->
+            diags :=
+              Diagnostic.error ~code:"XPDL216" ~pos:c.pos "<%s> requires a name"
+                (Schema.tag_of_kind c.kind)
+              :: !diags;
+            env)
+    | _ -> env
+  in
+  (* Steps 1-4 of a scope: its bindings, range checks, attribute
+     substitution and constraints.  Returns the scope its children see
+     and the substituted element. *)
+  let enter scope (e : Model.element) =
     (* 1. gather const/param bindings declared directly under [e] *)
-    let env =
-      List.fold_left
-        (fun env (c : Model.element) ->
-          match c.kind with
-          | Schema.Const | Schema.Param -> (
-              match c.name with
-              | Some n -> (
-                  if List.mem n external_names && c.kind = Schema.Param then env
-                  else
-                    match binding_value env c with
-                    | Some v -> (n, v) :: env
-                    | None -> env)
-              | None ->
-                  diags :=
-                    Diagnostic.error ~code:"XPDL216" ~pos:c.pos "<%s> requires a name"
-                      (Schema.tag_of_kind c.kind)
-                    :: !diags;
-                  env)
-          | _ -> env)
-        env e.children
-    in
+    let bindings = List.fold_left bind scope.bindings e.children in
+    let scope = if bindings == scope.bindings then scope else scope_of bindings in
     (* 2. range checks for params in scope *)
     List.iter
-      (fun (c : Model.element) ->
-        if c.kind = Schema.Param then check_range diags env c)
+      (fun (c : Model.element) -> if c.kind = Schema.Param then check_range diags scope c)
       e.children;
     (* 3. substitute this element's expression attributes *)
-    let e = substitute_attrs diags env e in
+    let e = substitute_attrs diags scope e in
     (* 4. constraints attached here *)
-    check_constraints diags env e;
+    check_constraints diags scope e;
+    (scope, e)
+  in
+  let rec walk scope (e : Model.element) : Model.element =
+    let scope, e = enter scope e in
     (* 5. recurse into children, expanding groups *)
-    let children = List.concat_map (expand env) e.children in
-    { e with children }
-  and expand env (c : Model.element) : Model.element list =
+    let children = assemble e.children (List.map (expand scope) e.children) in
+    if children == e.children then e else { e with children }
+  and expand scope (c : Model.element) : expansion =
     match c.kind with
     | Schema.Group -> (
-        let c = substitute_attrs diags env c in
-        match eval_quantity diags env c with
+        let c = substitute_attrs diags scope c in
+        match eval_quantity diags scope c with
         | None ->
             (* plain grouping scope, no replication *)
-            [ walk env { c with attrs = List.remove_assoc "quantity" c.attrs } ]
-        | Some n ->
-            let prefix = Model.attr_string c "prefix" in
-            let base_attrs =
-              List.filter
-                (fun (k, _) -> not (List.mem k [ "quantity"; "prefix" ]))
-                c.attrs
+            Self
+              (walk scope
+                 (if List.mem_assoc "quantity" c.attrs then
+                    { c with attrs = List.remove_assoc "quantity" c.attrs }
+                  else c))
+        | Some n -> Copies (replicate scope c n))
+    | _ -> Self (walk scope c)
+  and replicate scope (c : Model.element) n =
+    let prefix = Model.attr_string c "prefix" in
+    let attrs = List.filter (fun (k, _) -> not (List.mem k [ "quantity"; "prefix" ])) c.attrs in
+    let member children =
+      { c with kind = Schema.Group; id = None; name = (if n > 1 then None else c.name); attrs; children }
+    in
+    let copies =
+      if n = 0 then []
+      else if prefix = None && n > 1 && List.exists (fun (ch : Model.element) -> ch.name <> None) c.children
+      then
+        (* Replicating without prefix suffixes the names of named
+           children so definitions stay unique (Shave_pd0..7).  A name
+           is what a <const>/<param> binds, so walk each copy. *)
+        List.init n (fun i ->
+            let suffix (ch : Model.element) =
+              match ch.name with Some s -> { ch with name = Some (s ^ string_of_int i) } | None -> ch
             in
-            let copies =
-              List.init n (fun i ->
-                  let member_ident =
-                    match prefix with
-                    | Some p -> Some (p ^ string_of_int i)
-                    | None -> None
-                  in
-                  let rename_children (children : Model.element list) =
-                    (* Assign the member identifier to the single
-                       unidentified principal child, if any; suffix names
-                       of named children when replicating without prefix
-                       so definitions stay unique (Shave_pd0..7). *)
-                    let unidentified =
-                      List.filter (fun (ch : Model.element) -> Model.identifier ch = None) children
-                    in
-                    List.map
-                      (fun (ch : Model.element) ->
-                        match (member_ident, Model.identifier ch) with
-                        | Some ident, None when List.length unidentified = 1 ->
-                            { ch with id = Some ident }
-                        | None, Some _ when n > 1 && ch.name <> None ->
-                            { ch with name = Option.map (fun s -> s ^ string_of_int i) ch.name }
-                        | _ -> ch)
-                      children
-                  in
-                  let scope =
-                    {
-                      c with
-                      kind = Schema.Group;
-                      id = member_ident;
-                      name = (if n > 1 then None else c.name);
-                      attrs = base_attrs;
-                      children = rename_children c.children;
-                    }
-                  in
-                  walk env scope)
-            in
-            if n > 1 && c.name <> None then
-              (* keep a named wrapper so the group itself stays
-                 addressable (switchoffCondition "Shave_pds off") *)
-              [ { c with attrs = base_attrs; children = copies; id = None } ]
-            else copies)
-    | _ -> [ walk env c ]
+            walk scope (member (List.map suffix c.children)))
+      else begin
+        (* The copies differ only in their own identifier and in the one
+           of the single unidentified principal child, which the walk
+           never reads: walk the member once, replay its diagnostics once
+           per copy, and share everything else. *)
+        let outer = !diags in
+        diags := [];
+        let scope, m = enter scope (member c.children) in
+        let expansions = List.map (expand scope) m.children in
+        let member_diags = !diags in
+        diags := outer;
+        let unidentified (ch : Model.element) = Model.identifier ch = None in
+        let children_of =
+          match prefix with
+          | Some _ when List.length (List.filter unidentified m.children) = 1 ->
+              let j = Option.get (List.find_index unidentified m.children) in
+              fun id -> assemble ~principal:(j, id) m.children expansions
+          | Some _ | None ->
+              let shared = assemble m.children expansions in
+              fun _ -> shared
+        in
+        List.init n (fun i ->
+            diags := member_diags @ !diags;
+            let id = Option.map (fun p -> p ^ string_of_int i) prefix in
+            { m with id; children = children_of id })
+      end
+    in
+    if n > 1 && c.name <> None then
+      (* keep a named wrapper so the group itself stays
+         addressable (switchoffCondition "Shave_pds off") *)
+      [ { c with attrs; children = copies; id = None } ]
+    else copies
   in
-  let result = walk env root in
+  let result = walk (scope_of env) root in
   (result, List.rev !diags)
 
 (** All parameter names still unbound (declared without value and not

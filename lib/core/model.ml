@@ -259,7 +259,8 @@ let rec transparent_children e =
     selects member hardware instances of the enclosing model rather than
     a repository descriptor ([<core type="Leon"/>], Listing 12). *)
 let referenced_types e =
-  let add acc n = if List.mem n acc then acc else n :: acc in
+  let mem n acc = List.exists (String.equal n) acc in
+  let add acc n = if mem n acc then acc else n :: acc in
   let is_label (x : element) =
     Schema.equal_kind x.kind Schema.Memory
     || Schema.equal_kind x.kind Schema.Property
@@ -271,7 +272,8 @@ let referenced_types e =
     else
       let acc =
         match x.type_ref with
-        | Some t when (not (Schema.is_param_type t)) && not (is_label x) -> add acc t
+        | Some t when (not (mem t acc)) && (not (Schema.is_param_type t)) && not (is_label x) ->
+            t :: acc
         | Some _ | None -> acc
       in
       let acc = List.fold_left add acc x.extends in

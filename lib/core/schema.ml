@@ -130,7 +130,8 @@ let tag_of_kind = function
 let equal_kind (a : kind) (b : kind) =
   match (a, b) with
   | Other x, Other y -> String.equal x y
-  | _ -> a = b
+  | Other _, _ | _, Other _ -> false
+  | _ -> a == b (* constant constructors: immediate values *)
 
 let pp_kind ppf k = Fmt.string ppf (tag_of_kind k)
 
@@ -171,10 +172,27 @@ let common_attrs =
 open Xpdl_units
 
 (* Kind-specific attribute tables.  Metric attributes are declared once;
-   the elaborator pairs them with their metric_unit sibling. *)
-let specific_attrs : kind -> attr_spec list = function
-  | System | Node | Socket | Cluster -> [ opt "static_power" (A_quantity Units.Power) ]
-  | Cpu ->
+   the elaborator pairs them with their metric_unit sibling.  Each kind's
+   tables are built once, at module initialisation: elaboration,
+   instantiation and validation read them per attribute or per element. *)
+type kind_attrs = {
+  k_specific : attr_spec list;
+  k_all : attr_spec list;  (* common + specific *)
+  k_required : attr_spec list;
+}
+
+let of_specific specific =
+  {
+    k_specific = specific;
+    k_all = common_attrs @ specific;
+    k_required = List.filter (fun s -> s.a_required) specific;
+  }
+
+let kind_attrs : kind -> kind_attrs =
+  let none = of_specific [] in
+  let hardware_scope = of_specific [ opt "static_power" (A_quantity Units.Power) ] in
+  let cpu =
+    of_specific
       [
         opt "frequency" (A_quantity Units.Frequency);
         opt "cores" A_int;
@@ -183,7 +201,9 @@ let specific_attrs : kind -> attr_spec list = function
         opt "lithography" A_string;
         opt "vendor" A_string;
       ]
-  | Core ->
+  in
+  let core =
+    of_specific
       [
         opt "frequency" (A_quantity Units.Frequency);
         opt "endian" (A_enum [ "LE"; "BE" ]);
@@ -191,7 +211,9 @@ let specific_attrs : kind -> attr_spec list = function
         opt "static_power" (A_quantity Units.Power);
         opt "threads" A_int;
       ]
-  | Cache ->
+  in
+  let cache =
+    of_specific
       [
         opt "size" (A_quantity Units.Size);
         opt "sets" A_int;
@@ -205,7 +227,9 @@ let specific_attrs : kind -> attr_spec list = function
         opt "static_power" (A_quantity Units.Power);
         opt "shared" A_bool;
       ]
-  | Memory ->
+  in
+  let memory =
+    of_specific
       [
         opt "size" (A_quantity Units.Size);
         opt "static_power" (A_quantity Units.Power);
@@ -216,7 +240,9 @@ let specific_attrs : kind -> attr_spec list = function
         opt "endian" (A_enum [ "LE"; "BE" ]);
         opt "ecc" A_bool;
       ]
-  | Device ->
+  in
+  let device =
+    of_specific
       [
         opt "compute_capability" A_float;
         opt "static_power" (A_quantity Units.Power);
@@ -224,7 +250,9 @@ let specific_attrs : kind -> attr_spec list = function
         opt "frequency" (A_quantity Units.Frequency);
         opt "vendor" A_string;
       ]
-  | Interconnect ->
+  in
+  let interconnect =
+    of_specific
       [
         opt "head" A_ident;
         opt "tail" A_ident;
@@ -233,8 +261,9 @@ let specific_attrs : kind -> attr_spec list = function
         opt "static_power" (A_quantity Units.Power);
         opt "duplex" (A_enum [ "half"; "full" ]);
       ]
-  | Interconnects -> []
-  | Channel ->
+  in
+  let channel =
+    of_specific
       [
         opt "max_bandwidth" (A_quantity Units.Bandwidth);
         opt "time_offset_per_message" (A_quantity Units.Time);
@@ -242,60 +271,88 @@ let specific_attrs : kind -> attr_spec list = function
         opt "energy_offset_per_message" (A_quantity Units.Energy);
         opt "latency" (A_quantity Units.Time);
       ]
-  | Group ->
+  in
+  let group =
+    of_specific
       [
         opt "prefix" A_string;
         opt "quantity" A_expr;  (* integer literal or parameter name, Listing 8 *)
       ]
-  | Software -> []
-  | Host_os -> [ opt "kernel" A_string; opt "version" A_string ]
-  | Installed -> [ opt "path" A_string; opt "version" A_string ]
-  | Programming_model -> []
-  | Power_model -> []
-  | Power_domains -> []
-  | Power_domain ->
+  in
+  let host_os = of_specific [ opt "kernel" A_string; opt "version" A_string ] in
+  let installed = of_specific [ opt "path" A_string; opt "version" A_string ] in
+  let power_domain =
+    of_specific
       [
         opt "enableSwitchOff" A_bool;
         opt "switchoffCondition" A_string;  (* "<group> off" per Listing 12 *)
         opt "idle_power" (A_quantity Units.Power);
       ]
-  | Power_state_machine -> [ opt "power_domain" A_ident ]
-  | Power_states -> []
-  | Power_state ->
+  in
+  let power_state_machine = of_specific [ opt "power_domain" A_ident ] in
+  let power_state =
+    of_specific
       [
         opt "frequency" (A_quantity Units.Frequency);
         opt "power" (A_quantity Units.Power);
         opt "voltage" (A_quantity Units.Voltage);
         opt "kind" (A_enum [ "P"; "C" ]);
       ]
-  | Transitions -> []
-  | Transition ->
+  in
+  let transition =
+    of_specific
       [
         req "head" A_ident;
         req "tail" A_ident;
         opt "time" (A_quantity Units.Time);
         opt "energy" (A_quantity Units.Energy);
       ]
-  | Instructions -> [ opt "mb" A_ident ]
-  | Instruction ->
+  in
+  let instructions = of_specific [ opt "mb" A_ident ] in
+  let instruction =
+    of_specific
       [
         opt "energy" (A_quantity Units.Energy);
         opt "latency" A_int;  (* cycles *)
         opt "throughput" A_float;  (* instructions/cycle *)
         opt "mb" A_ident;
       ]
-  | Data ->
+  in
+  let data =
+    of_specific
       [
         opt "frequency" (A_quantity Units.Frequency);
         opt "energy" (A_quantity Units.Energy);
         opt "power" (A_quantity Units.Power);
       ]
-  | Microbenchmarks ->
-      [ opt "instruction_set" A_ident; opt "path" A_string; opt "command" A_string ]
-  | Microbenchmark ->
-      [ opt "file" A_string; opt "cflags" A_string; opt "lflags" A_string; opt "iterations" A_int ]
-  | Const -> [ opt "size" (A_quantity Units.Size); opt "value" A_expr; opt "unit" A_string ]
-  | Param ->
+  in
+  let microbenchmarks =
+    of_specific
+      [
+        opt "instruction_set" A_ident;
+        opt "path" A_string;
+        opt "command" A_string;
+      ]
+  in
+  let microbenchmark =
+    of_specific
+      [
+        opt "file" A_string;
+        opt "cflags" A_string;
+        opt "lflags" A_string;
+        opt "iterations" A_int;
+      ]
+  in
+  let const =
+    of_specific
+      [
+        opt "size" (A_quantity Units.Size);
+        opt "value" A_expr;
+        opt "unit" A_string;
+      ]
+  in
+  let param =
+    of_specific
       [
         opt "configurable" A_bool;
         opt "value" A_expr;
@@ -304,25 +361,67 @@ let specific_attrs : kind -> attr_spec list = function
         opt "frequency" (A_quantity Units.Frequency);
         opt "unit" A_string;
       ]
-  | Constraints -> []
-  | Constraint -> [ req "expr" A_expr ]
-  | Properties -> []
-  | Property -> [ opt "value" A_string; opt "command" A_string ]
-  | Other _ -> []
+  in
+  let constraint_ = of_specific [ req "expr" A_expr ] in
+  let property = of_specific [ opt "value" A_string; opt "command" A_string ] in
+  function
+  | System | Node | Socket | Cluster -> hardware_scope
+  | Cpu -> cpu
+  | Core -> core
+  | Cache -> cache
+  | Memory -> memory
+  | Device -> device
+  | Interconnect -> interconnect
+  | Channel -> channel
+  | Group -> group
+  | Host_os -> host_os
+  | Installed -> installed
+  | Power_domain -> power_domain
+  | Power_state_machine -> power_state_machine
+  | Power_state -> power_state
+  | Transition -> transition
+  | Instructions -> instructions
+  | Instruction -> instruction
+  | Data -> data
+  | Microbenchmarks -> microbenchmarks
+  | Microbenchmark -> microbenchmark
+  | Const -> const
+  | Param -> param
+  | Constraint -> constraint_
+  | Property -> property
+  | Interconnects
+  | Software
+  | Programming_model
+  | Power_model
+  | Power_domains
+  | Power_states
+  | Transitions
+  | Constraints
+  | Properties
+  | Other _ ->
+      none
+
+let specific_attrs kind = (kind_attrs kind).k_specific
 
 (** All attribute specs admitted by [kind] (common + specific). *)
-let attrs_of_kind kind = common_attrs @ specific_attrs kind
+let attrs_of_kind kind = (kind_attrs kind).k_all
+
+let required_attrs kind = (kind_attrs kind).k_required
 
 (** Look up the spec of attribute [name] on [kind]. *)
 let attr_spec kind name =
-  List.find_opt (fun s -> String.equal s.a_name name) (attrs_of_kind kind)
+  let rec find = function
+    | [] -> None
+    | s :: rest -> if String.equal s.a_name name then Some s else find rest
+  in
+  find (attrs_of_kind kind)
 
 (* "type" on <param name="..." type="msize"/> in Listing 8 declares the
    param's value type rather than a meta-model reference; recognized
    param-type names: *)
 let param_type_names = [ "msize"; "integer"; "frequency"; "float"; "string"; "boolean" ]
 
-let is_param_type name = List.mem name param_type_names
+let is_param_type name = List.exists (String.equal name) param_type_names
 
 (** Which child kinds may appear under each parent kind (structural
     containment, Sec. III-B).  [Group] is transparent: it may appear

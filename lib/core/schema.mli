@@ -67,11 +67,15 @@ type attr_spec = { a_name : string; a_type : attr_type; a_required : bool }
     [extends], [role]). *)
 val common_attrs : attr_spec list
 
-(** Kind-specific attribute table. *)
+(** Kind-specific attribute table.  The tables of every kind are built
+    once; these accessors allocate nothing. *)
 val specific_attrs : kind -> attr_spec list
 
 (** All attribute specs admitted by [kind] (common + specific). *)
 val attrs_of_kind : kind -> attr_spec list
+
+(** The required entries of {!specific_attrs}. *)
+val required_attrs : kind -> attr_spec list
 
 val attr_spec : kind -> string -> attr_spec option
 

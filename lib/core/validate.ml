@@ -22,44 +22,41 @@ let is_valid_identifier s =
        (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' | '.' -> true | _ -> false)
        s
 
-let check_identifiers (root : Model.element) =
-  let diags = ref [] in
-  let check (e : Model.element) = function
+(* What one walk of the tree gathers for the structural checks, each
+   check's diagnostics in document order. *)
+type walked = {
+  identifiers : Diagnostic.t list;  (* XPDL201: ill-formed name or id *)
+  required : Diagnostic.t list;  (* XPDL202: missing required attribute *)
+  unique_ids : Diagnostic.t list;  (* XPDL203: duplicate sibling id *)
+  endpoints : Diagnostic.t list;  (* XPDL204: dangling interconnect endpoint *)
+  parts : Model.element list;  (* the power-model parts, for Power.of_parts *)
+  names : (string, unit) Hashtbl.t;  (* every name defined, when asked for *)
+}
+
+(* One preorder walk.  Ids must be unique among siblings of the same
+   scope (global uniqueness is a repository concern; within an instance
+   tree, expanded groups make path-scoped uniqueness the right notion).
+   Interconnect [head]/[tail] endpoints must name the id (else the name)
+   of an element of the closest enclosing system — of the root, for a
+   stand-alone fragment; an interconnect inside nested systems is checked
+   against each.  Elements are numbered in preorder so that a system is a
+   span of numbers and the endpoints are resolved after the walk. *)
+let walk ?(names = false) (root : Model.element) : walked =
+  let identifiers = ref [] and required = ref [] and unique_ids = ref [] and parts = ref [] in
+  let defined = Hashtbl.create (if names then 64 else 1) in
+  (* (identifier, preorder number), the systems' spans in document
+     order, and the interconnects with their numbers, all reversed *)
+  let keys = ref [] and systems = ref [] and interconnects = ref [] in
+  let count = ref 0 in
+  let check_identifier (e : Model.element) = function
     | Some ident when not (is_valid_identifier ident) ->
-        diags :=
+        identifiers :=
           Diagnostic.error ~code:"XPDL201" ~pos:e.pos "ill-formed identifier %S on <%s>" ident
             (Schema.tag_of_kind e.kind)
-          :: !diags
+          :: !identifiers
     | Some _ | None -> ()
   in
-  Model.iter
-    (fun (e : Model.element) ->
-      check e e.name;
-      check e e.id)
-    root;
-  List.rev !diags
-
-let check_required_attrs (root : Model.element) =
-  let diags = ref [] in
-  Model.iter
-    (fun (e : Model.element) ->
-      List.iter
-        (fun (spec : Schema.attr_spec) ->
-          if spec.a_required && Model.attr e spec.a_name = None then
-            diags :=
-              Diagnostic.error ~code:"XPDL202" ~pos:e.pos "<%s> is missing required attribute %S"
-                (Schema.tag_of_kind e.kind) spec.a_name
-              :: !diags)
-        (Schema.specific_attrs e.kind))
-    root;
-  List.rev !diags
-
-(* Ids must be unique among siblings of the same scope (global uniqueness
-   is a repository concern; within an instance tree, expanded groups make
-   path-scoped uniqueness the right notion). *)
-let check_unique_ids (root : Model.element) =
-  let diags = ref [] in
-  let check_scope (e : Model.element) =
+  let check_unique_children (e : Model.element) =
     match e.children with
     | [] | [ _ ] -> ()
     | children ->
@@ -69,57 +66,104 @@ let check_unique_ids (root : Model.element) =
             match c.id with
             | Some ident ->
                 if Hashtbl.mem seen ident then
-                  diags :=
+                  unique_ids :=
                     Diagnostic.error ~code:"XPDL203" ~pos:c.pos "duplicate id %S within <%s>" ident
                       (Schema.tag_of_kind e.kind)
-                    :: !diags
+                    :: !unique_ids
                 else Hashtbl.add seen ident ()
             | None -> ())
           children
   in
-  Model.iter check_scope root;
-  List.rev !diags
+  let rec visit (e : Model.element) =
+    let number = !count in
+    incr count;
+    check_identifier e e.name;
+    check_identifier e e.id;
+    List.iter
+      (fun (spec : Schema.attr_spec) ->
+        if Model.attr e spec.a_name = None then
+          required :=
+            Diagnostic.error ~code:"XPDL202" ~pos:e.pos "<%s> is missing required attribute %S"
+              (Schema.tag_of_kind e.kind) spec.a_name
+            :: !required)
+      (Schema.required_attrs e.kind);
+    check_unique_children e;
+    (match (e.id, e.name) with
+    | Some k, _ | None, Some k -> keys := (k, number) :: !keys
+    | None, None -> ());
+    (match e.name with Some n when names -> Hashtbl.replace defined n () | _ -> ());
+    if Power.is_part e.kind then parts := e :: !parts;
+    (match e.kind with
+    | Schema.Interconnect -> interconnects := (number, e) :: !interconnects
+    | _ -> ());
+    match e.kind with
+    | Schema.System ->
+        let span = (number, ref 0) in
+        systems := span :: !systems;
+        List.iter visit e.children;
+        snd span := !count
+    | _ -> List.iter visit e.children
+  in
+  visit root;
+  let endpoints =
+    match !interconnects with
+    | [] -> []
+    | reversed ->
+        let interconnects = List.rev reversed in
+        let endpoint (e : Model.element) key = Model.attr_string e key in
+        (* the preorder numbers of the elements an endpoint names *)
+        let named = Hashtbl.create 16 in
+        List.iter
+          (fun (_, e) ->
+            List.iter
+              (fun key -> Option.iter (fun k -> Hashtbl.replace named k []) (endpoint e key))
+              [ "head"; "tail" ])
+          interconnects;
+        List.iter
+          (fun (k, number) ->
+            match Hashtbl.find_opt named k with
+            | Some numbers -> Hashtbl.replace named k (number :: numbers)
+            | None -> ())
+          !keys;
+        let scopes =
+          match !systems with
+          | [] -> [ (0, !count) ]
+          | spans -> List.rev_map (fun (first, stop) -> (first, !stop)) spans
+        in
+        List.concat_map
+          (fun (first, stop) ->
+            let within number = first <= number && number < stop in
+            List.concat_map
+              (fun (number, (e : Model.element)) ->
+                if not (within number) then []
+                else
+                  List.filter_map
+                    (fun key ->
+                      match endpoint e key with
+                      | Some k when not (List.exists within (Hashtbl.find named k)) ->
+                          Some
+                            (Diagnostic.error ~code:"XPDL204" ~pos:e.pos
+                               "interconnect %s: %s endpoint %S does not name a component in this system"
+                               (Option.value ~default:"?" (Model.identifier e))
+                               key k)
+                      | _ -> None)
+                    [ "head"; "tail" ])
+              interconnects)
+          scopes
+  in
+  {
+    identifiers = List.rev !identifiers;
+    required = List.rev !required;
+    unique_ids = List.rev !unique_ids;
+    endpoints;
+    parts = List.rev !parts;
+    names = defined;
+  }
 
-(* head/tail of interconnect instances must name components reachable in
-   the same system/node scope. *)
-let check_interconnect_endpoints (root : Model.element) =
-  let diags = ref [] in
-  (* every id and name in the scope, built on the scope's first
-     interconnect *)
-  let ids_in scope =
-    let known = Hashtbl.create 64 in
-    Model.iter
-      (fun (e : Model.element) ->
-        match (e.id, e.name) with
-        | Some i, _ | None, Some i -> Hashtbl.replace known i ()
-        | None, None -> ())
-      scope;
-    known
-  in
-  let check_in_scope (scope : Model.element) =
-    let known = lazy (ids_in scope) in
-    Model.iter
-      (fun (e : Model.element) ->
-        if e.kind = Schema.Interconnect then
-          List.iter
-            (fun key ->
-              match Model.attr_string e key with
-              | Some endpoint when not (Hashtbl.mem (Lazy.force known) endpoint) ->
-                  diags :=
-                    Diagnostic.error ~code:"XPDL204" ~pos:e.pos
-                      "interconnect %s: %s endpoint %S does not name a component in this system"
-                      (Option.value ~default:"?" (Model.identifier e))
-                      key endpoint
-                    :: !diags
-              | _ -> ())
-            [ "head"; "tail" ])
-      scope
-  in
-  (* endpoints are resolved within the closest enclosing system; for
-     stand-alone fragments, within the root *)
-  let systems = Model.elements_of_kind Schema.System root in
-  (match systems with [] -> check_in_scope root | _ -> List.iter check_in_scope systems);
-  List.rev !diags
+let check_identifiers root = (walk root).identifiers
+let check_required_attrs root = (walk root).required
+let check_unique_ids root = (walk root).unique_ids
+let check_interconnect_endpoints root = (walk root).endpoints
 
 (* The two power checks read one extracted power model; {!run} extracts
    it once for both. *)
@@ -155,37 +199,30 @@ let check_power_models root = power_model_diags (Power.of_element root)
 let check_microbenchmark_refs root = microbenchmark_ref_diags (Power.of_element root)
 
 (* When a lookup into the repository is available, referenced meta-models
-   must exist. *)
-let check_references ?(lookup : Inheritance.lookup option) (root : Model.element) =
-  match lookup with
-  | None -> []
-  | Some lookup -> (
-      match Model.referenced_types root with
-      | [] -> []
-      | referenced ->
-          (* one set of the names defined in the tree, not a walk per
-             reference *)
-          let defined = Hashtbl.create 64 in
-          Model.iter
-            (fun (e : Model.element) ->
-              match e.name with Some n -> Hashtbl.replace defined n () | None -> ())
-            root;
-          List.filter_map
-            (fun name ->
-              if Hashtbl.mem defined name || lookup name <> None then None
-              else
-                Some
-                  (Diagnostic.error ~code:"XPDL208" ~pos:root.pos
-                     "unresolved meta-model reference %S" name))
-            referenced)
+   must exist: defined in the tree itself or found by [lookup]. *)
+let reference_diags lookup (root : Model.element) referenced (defined : (string, unit) Hashtbl.t) =
+  List.filter_map
+    (fun name ->
+      if Hashtbl.mem defined name || lookup name <> None then None
+      else Some (Diagnostic.error ~code:"XPDL208" ~pos:root.pos "unresolved meta-model reference %S" name))
+    referenced
 
-(** Run every check.  [lookup] enables cross-descriptor reference checks. *)
+let referenced_types ?lookup root =
+  match lookup with None -> [] | Some _ -> Model.referenced_types root
+
+let check_references ?(lookup : Inheritance.lookup option) (root : Model.element) =
+  match (lookup, referenced_types ?lookup root) with
+  | None, _ | _, [] -> []
+  | Some lookup, referenced -> reference_diags lookup root referenced (walk ~names:true root).names
+
+(** Run every check: one walk of the tree, then the checks that read
+    what it gathered, their diagnostics grouped by check. *)
 let run ?lookup (root : Model.element) : Diagnostic.t list =
-  let pm = Power.of_element root in
-  check_identifiers root
-  @ check_required_attrs root
-  @ check_unique_ids root
-  @ check_interconnect_endpoints root
-  @ power_model_diags pm
-  @ microbenchmark_ref_diags pm
-  @ check_references ?lookup root
+  let referenced = referenced_types ?lookup root in
+  let w = walk ~names:(referenced <> []) root in
+  let pm = Power.of_parts ~root w.parts in
+  let references =
+    match lookup with Some lookup -> reference_diags lookup root referenced w.names | None -> []
+  in
+  w.identifiers @ w.required @ w.unique_ids @ w.endpoints @ power_model_diags pm
+  @ microbenchmark_ref_diags pm @ references

@@ -77,6 +77,37 @@ let test_selection_iterative_prefers_gpu () =
   | Some v -> Alcotest.(check string) "iterative -> gpu" "gpu_csr" v.Compose.v_name
   | None -> Alcotest.fail "selection"
 
+(* A core belongs to the host unless it lies inside a device's subtree,
+   whatever the ids: a CPU whose id starts with a device's id ("gpu_host"
+   next to "gpu") still prices cpu_csr on its own two cores. *)
+let test_host_cores_by_containment () =
+  let estimate cpu_id =
+    let m =
+      Xpdl_core.Elaborate.of_string_exn
+        (Fmt.str
+           {|<system id="box">
+  <cpu id="%s" frequency="2" frequency_unit="GHz">
+    <core id="c0" frequency="2" frequency_unit="GHz"/>
+    <core id="c1" frequency="2" frequency_unit="GHz"/>
+  </cpu>
+  <device id="gpu">
+    <core id="g0" frequency="700" frequency_unit="MHz"/>
+    <core id="g1" frequency="700" frequency_unit="MHz"/>
+    <core id="g2" frequency="700" frequency_unit="MHz"/>
+  </device>
+</system>|}
+           cpu_id)
+    in
+    let ctx =
+      Spmv.context ~query:(Q.of_model m) ~machine:(Xpdl_simhw.Machine.create m) ~rows:2000
+        ~density:0.01 ()
+    in
+    match Spmv.cpu_csr.Compose.v_estimate ctx with
+    | Some t -> t
+    | None -> Alcotest.failf "no cpu_csr estimate with CPU %s" cpu_id
+  in
+  Alcotest.(check (float 0.)) "same estimate" (estimate "host") (estimate "gpu_host")
+
 let test_dispatch_runs () =
   let ctx = liu_ctx ~rows:1000 ~density:0.02 () in
   let name, meas = Compose.dispatch Spmv.component ctx in
@@ -168,6 +199,7 @@ let () =
           case "software constraints" test_software_constraint_rejects_gpu;
           case "memory constraint" test_memory_constraint_rejects_dense;
           case "mid density -> cpu_csr" test_selection_mid_density_prefers_csr;
+          case "host cores by span containment" test_host_cores_by_containment;
           case "ultra sparse -> gpu_csr" test_selection_ultra_sparse_prefers_gpu;
           case "dense -> cpu_dense" test_selection_dense_prefers_dense;
           case "iterative -> gpu_csr" test_selection_iterative_prefers_gpu;

@@ -480,6 +480,16 @@ let test_validate_allocation () =
     (Testlib.check_words_per_element ~bound:48. "Validate.run" (Validate.run ~lookup))
     [ "liu_gpu_server"; "XScluster" ]
 
+(* Instantiation builds each distinct subtree once: a subtree it does
+   not change is returned itself, and a replicated group's member is
+   walked once and its copies share it, so its allocation is a few words
+   per composed element (rebuilding every copy took about 123). *)
+let test_instantiate_allocation () =
+  List.iter
+    (Testlib.check_words_per_element ~input:Testlib.resolved ~bound:8. "Instantiate.run"
+       (fun m -> Instantiate.run m))
+    [ "liu_gpu_server"; "XScluster" ]
+
 (* ------------------------------------------------------------------ *)
 (* Power views *)
 
@@ -646,6 +656,7 @@ let () =
           Alcotest.test_case "multiple unidentified members" `Quick
             test_group_multiple_unidentified_children;
           Alcotest.test_case "nested quantity product" `Quick test_nested_quantity_product;
+          Alcotest.test_case "allocation per element" `Quick test_instantiate_allocation;
         ] );
       ( "validate",
         [

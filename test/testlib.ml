@@ -15,15 +15,25 @@ let with_temp_dir prefix f =
   Unix.mkdir d 0o755;
   Fun.protect ~finally:(fun () -> Xpdl_kernel.remove_tree d) (fun () -> f d)
 
+(* A bundled system after inheritance resolution and before
+   instantiation: the tree that [Instantiate.run] expands. *)
+let resolved name =
+  let r = Lazy.force repo in
+  match Xpdl_repo.Repo.find r name with
+  | None -> Alcotest.failf "no descriptor named %s" name
+  | Some root -> fst (Xpdl_core.Inheritance.resolve_lenient (Xpdl_repo.Repo.lookup r) root)
+
 (* Minor words that one warm call of [f] allocates on the bundled
    system [name], per element of its composed model: fails if over
-   [bound].  A per-element bound holds on the 5k-element server and the
-   44k-element cluster alike. *)
-let check_words_per_element ~bound what f name =
-  let m = model name in
+   [bound].  [f] reads the composed model, or the tree that [input]
+   gives (e.g. {!resolved}).  A per-element bound holds on the
+   5k-element server and the 44k-element cluster alike. *)
+let check_words_per_element ?(input = model) ~bound what f name =
+  let m = input name in
   ignore (f m);
   let before = Gc.minor_words () in
   ignore (Sys.opaque_identity (f m));
-  let per = (Gc.minor_words () -. before) /. float_of_int (Xpdl_core.Model.size m) in
+  let words = Gc.minor_words () -. before in
+  let per = words /. float_of_int (Xpdl_core.Model.size (model name)) in
   if per > bound then
     Alcotest.failf "%s on %s: %.1f minor words per element, bound %.0f" what name per bound
