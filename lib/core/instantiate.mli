@@ -12,7 +12,11 @@
 type env = (string * Xpdl_expr.Expr.value) list
 
 (** Instantiate; the tree is usable even with diagnostics present
-    (erroneous parts are left unexpanded). *)
+    (erroneous parts are left unexpanded).  The result shares subtrees:
+    a subtree that instantiation does not change is the input's own,
+    and the [n] copies of a group with a [prefix] share every subtree
+    but their scope and principal child, whose identifiers differ.
+    Never compare its elements with [==]/[!=]. *)
 val run : ?env:env -> Model.element -> Model.element * Diagnostic.t list
 
 (** Parameter names still unbound in the subtree (required deployment

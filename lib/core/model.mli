@@ -19,6 +19,13 @@ type attr_value =
 val pp_attr_value : Format.formatter -> attr_value -> unit
 val equal_attr_value : attr_value -> attr_value -> bool
 
+(** An element and its subtree.  Trees are immutable, and a composed
+    tree may share subtrees: {!Instantiate.run} returns what it does not
+    change as itself, and the copies of a replicated group share their
+    member's subtrees.  One element value can thus sit at several places
+    of a tree, so never compare elements with [==]/[!=]: physical
+    identity says nothing about position.  Address a node by its
+    {!index_path}. *)
 type element = {
   kind : Schema.kind;
   name : string option;  (** meta-model identifier ([name] attribute) *)

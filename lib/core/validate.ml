@@ -207,18 +207,18 @@ let reference_diags lookup (root : Model.element) referenced (defined : (string,
       else Some (Diagnostic.error ~code:"XPDL208" ~pos:root.pos "unresolved meta-model reference %S" name))
     referenced
 
-let referenced_types ?lookup root =
-  match lookup with None -> [] | Some _ -> Model.referenced_types root
-
 let check_references ?(lookup : Inheritance.lookup option) (root : Model.element) =
-  match (lookup, referenced_types ?lookup root) with
-  | None, _ | _, [] -> []
-  | Some lookup, referenced -> reference_diags lookup root referenced (walk ~names:true root).names
+  match lookup with
+  | None -> []
+  | Some lookup -> (
+      match Model.referenced_types root with
+      | [] -> []
+      | referenced -> reference_diags lookup root referenced (walk ~names:true root).names)
 
 (** Run every check: one walk of the tree, then the checks that read
     what it gathered, their diagnostics grouped by check. *)
 let run ?lookup (root : Model.element) : Diagnostic.t list =
-  let referenced = referenced_types ?lookup root in
+  let referenced = match lookup with Some _ -> Model.referenced_types root | None -> [] in
   let w = walk ~names:(referenced <> []) root in
   let pm = Power.of_parts ~root w.parts in
   let references =
