@@ -39,8 +39,7 @@ let host_facts ctx =
   let in_device (c : Xpdl_query.Query.element) =
     List.exists
       (fun (d : Xpdl_query.Query.element) ->
-        d.Xpdl_toolchain.Ir.n_index <= c.Xpdl_toolchain.Ir.n_index
-        && c.Xpdl_toolchain.Ir.n_index < d.Xpdl_toolchain.Ir.n_subtree_end)
+        Xpdl_toolchain.Ir.(d.n_index <= c.n_index && c.n_index < d.n_subtree_end))
       devices
   in
   let host_cores =
